@@ -43,6 +43,6 @@ pub use determinism::{determinism_report, DeterminismReport};
 pub use flush::{flush_report, FlushReport};
 pub use forwarding::{forward_from, forwarding_loops, lemma_7_6_violations, ForwardingResult};
 pub use oscillation::{classify, OscillationClass};
-pub use reachability::{explore, ExploreOptions, Reachability};
+pub use reachability::{explore, explore_sweep, ExploreOptions, Reachability};
 pub use solver::classify_sat;
 pub use stable::{enumerate_stable_standard, StableEnumeration};

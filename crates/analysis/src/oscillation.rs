@@ -33,6 +33,26 @@ pub enum OscillationClass {
     Unknown,
 }
 
+impl OscillationClass {
+    /// The class the search evidence alone supports: unknown when the
+    /// search was truncated, persistent with no reachable stable vector,
+    /// transient with several, stable with exactly one. [`classify`]
+    /// additionally probes a unique stable outcome for a live cycle on
+    /// reflection topologies; confederation and hierarchy verdicts are
+    /// this class as is.
+    pub fn from_evidence(reach: &Reachability) -> OscillationClass {
+        if !reach.complete {
+            OscillationClass::Unknown
+        } else if reach.stable_vectors.is_empty() {
+            OscillationClass::Persistent
+        } else if reach.stable_vectors.len() > 1 {
+            OscillationClass::Transient
+        } else {
+            OscillationClass::Stable
+        }
+    }
+}
+
 impl fmt::Display for OscillationClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -66,14 +86,9 @@ pub fn classify(
     let probe_budget = 4 * options.max_states as u64 + 16;
     let loop_prevention = options.loop_prevention;
     let reach = explore(topo, config, exits.to_vec(), options);
-    if !reach.complete {
-        return (OscillationClass::Unknown, reach);
-    }
-    if reach.stable_vectors.is_empty() {
-        return (OscillationClass::Persistent, reach);
-    }
-    if reach.stable_vectors.len() > 1 {
-        return (OscillationClass::Transient, reach);
+    let class = OscillationClass::from_evidence(&reach);
+    if class != OscillationClass::Stable {
+        return (class, reach);
     }
     // Unique stable outcome; still check the simultaneous schedule for a
     // provable cycle (a unique fixed point can coexist with a live cycle).

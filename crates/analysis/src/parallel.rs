@@ -7,11 +7,12 @@
 //! collection) is order-sensitive. This module splits the two:
 //!
 //! * **Workers** expand whole BFS levels in parallel, in *batches* of
-//!   frontier states. Each worker owns a private [`SyncEngine`] (the
-//!   engine is `Send` but not `Sync` — its memo is a `RefCell`) and
-//!   restores it per unit. A worker reports either the state's stable
-//!   best-exit vector or its successor list, pre-filtered against the
-//!   *frozen* visited set of earlier levels — a read-only,
+//!   frontier states. Each worker owns a private engine from the
+//!   [`Scheme`] (a [`SyncEngine`] is `Send` but not `Sync` — its memo is
+//!   a `RefCell`) and restores it per unit; sweep-engine frontier states
+//!   are engines themselves and need none. A worker reports either the
+//!   state's stable best-exit vector or its successor list, pre-filtered
+//!   against the *frozen* visited set of earlier levels — a read-only,
 //!   order-independent test.
 //! * **The coordinator** merges each level's unit outcomes *sequentially
 //!   in canonical order* (frontier index, then branch index): within-level
@@ -29,8 +30,9 @@
 //! `Mutex` around the shared work-queue receiver, held just long enough
 //! to pop a batch). Nothing ever blocks a worker mid-expansion.
 //!
-//! **Two state encodings** drive the same search skeleton through the
-//! [`Scheme`] trait:
+//! The skeleton knows no engine: the [`Scheme`] trait supplies the
+//! per-worker engine, the frontier snapshot, and the state key. Three
+//! schemes drive the same search skeleton:
 //!
 //! * [`FlatScheme`] (the default): states are [`FlatKey`]s — fixed-width
 //!   `u32` blocks per router encoding (possible, advertised, best) as
@@ -45,12 +47,19 @@
 //! * [`LegacyScheme`] (`flat = false`): the original restore-step-rekey
 //!   path over [`StateKey`]s, kept as the executable specification the
 //!   equivalence suite drives the flat path against.
+//! * [`SweepScheme`]: any [`SweepEngine`] — the confederation and
+//!   hierarchy engines. The frontier holds engine clones; one
+//!   `update_all` per state keys every branch successor by laying the
+//!   current and updated per-router encodings end to end, and only the
+//!   successors that survive the visited pre-filter are cloned. These
+//!   engines have no automorphism action and no ample-set proof, so
+//!   the sweep search declines symmetry and POR.
 //!
-//! The key spaces are bijective (`StateCodec::{encode_key, decode_key}`),
-//! so both schemes visit the same states in the same order and report
-//! identical `states`, `complete`, `stable_vectors`, and cap points. Only
-//! encoding-internal gauges (cache splits, digests, byte estimates) may
-//! differ.
+//! The flat and legacy key spaces are bijective
+//! (`StateCodec::{encode_key, decode_key}`), so both schemes visit the
+//! same states in the same order and report identical `states`,
+//! `complete`, `stable_vectors`, and cap points. Only encoding-internal
+//! gauges (cache splits, digests, byte estimates) may differ.
 //!
 //! Determinism: a state's outcome is a pure function of its snapshot (the
 //! pre-filter can only drop successors the merge would reject anyway), so
@@ -96,7 +105,7 @@ use crate::reachability::{ExploreOptions, Reachability};
 use crate::symmetry::{FlatAction, SymmetryGroup};
 use ibgp_proto::variants::ProtocolConfig;
 use ibgp_sim::signature::StateKey;
-use ibgp_sim::{FlatKey, Metrics, StateCodec, SyncEngine, SyncSnapshot};
+use ibgp_sim::{FlatKey, Metrics, StateCodec, SweepEngine, SyncEngine, SyncSnapshot};
 use ibgp_topology::Topology;
 use ibgp_types::{ExitPathId, ExitPathRef, RouterId, StopReason};
 use std::collections::{HashMap, HashSet};
@@ -246,14 +255,14 @@ impl<K: SearchKey> Visited<K> {
 }
 
 /// What one frontier state turned out to be.
-enum UnitOutcome<K> {
+enum UnitOutcome<K, T> {
     /// A fixed point, with its best-exit vector.
     Stable(Vec<Option<ExitPathId>>),
     /// Not stable: per branch successor not already visited in an earlier
     /// level, in branch order: its (canonical) key, raw snapshot, and
     /// orbit size (1 without symmetry).
     Expanded {
-        fresh: Vec<(K, SyncSnapshot, u64)>,
+        fresh: Vec<(K, T, u64)>,
         /// A successor tripped the tie-soundness guard: the whole search
         /// must restart without symmetry.
         unsound: bool,
@@ -264,58 +273,94 @@ enum UnitOutcome<K> {
     },
 }
 
-/// One encoding's search strategy: how to key the initial state and how
-/// to expand one frontier state into outcomes. Shared (`&self`) across
-/// worker threads; all engine state lives in the per-worker `SyncEngine`.
+/// One search strategy: the engine that expands states, the frontier
+/// snapshot, and the state key. Shared (`&self`) across worker threads;
+/// all mutable engine state lives in the per-worker [`Scheme::Engine`].
 trait Scheme: Sync {
     type Key: SearchKey;
+    /// A worker's private expansion engine.
+    type Engine;
+    /// One frontier state.
+    type Snapshot: Send;
 
-    /// Per-engine setup (e.g. attaching the flat codec). Called once for
-    /// the coordinator's engine and once per worker engine.
-    fn prepare_engine(&self, engine: &mut SyncEngine);
+    /// A fresh engine, ready to expand. Called once for the coordinator
+    /// and once per worker.
+    fn engine(&self) -> Self::Engine;
 
-    /// Key and orbit size of the engine's current (initial) state, or
-    /// `None` if it already trips the tie-soundness guard.
-    fn initial(&self, engine: &mut SyncEngine) -> Option<(Self::Key, u64)>;
+    /// Key, snapshot, and orbit size of the initial state, or `None` if
+    /// it already trips the tie-soundness guard.
+    fn initial(&self, engine: &mut Self::Engine) -> Option<(Self::Key, Self::Snapshot, u64)>;
 
-    /// Expand one frontier state on the given (prepared) engine.
+    /// Expand one frontier state.
     fn expand_unit(
         &self,
-        engine: &mut SyncEngine,
-        snap: &SyncSnapshot,
+        engine: &mut Self::Engine,
+        snap: &Self::Snapshot,
         branches: &[Vec<RouterId>],
         visited: &Visited<Self::Key>,
-    ) -> UnitOutcome<Self::Key>;
+    ) -> UnitOutcome<Self::Key, Self::Snapshot>;
 
     /// All images of a stable best-exit vector under the group (just the
     /// vector itself without symmetry).
-    fn vector_orbit(&self, bv: &[Option<ExitPathId>]) -> Vec<Vec<Option<ExitPathId>>>;
+    fn vector_orbit(&self, bv: &[Option<ExitPathId>]) -> Vec<Vec<Option<ExitPathId>>> {
+        vec![bv.to_vec()]
+    }
+
+    /// The engine's own counters (cache hits, messages, ...), if it
+    /// keeps any.
+    fn metrics(&self, _engine: &Self::Engine) -> Metrics {
+        Metrics::default()
+    }
+}
+
+/// What every reflection-scheme engine is built from.
+struct SyncSetup<'a> {
+    topo: &'a Topology,
+    config: ProtocolConfig,
+    exits: &'a [ExitPathRef],
+    memoized: bool,
+    loop_prevention: bool,
+}
+
+impl<'a> SyncSetup<'a> {
+    fn engine(&self) -> SyncEngine<'a> {
+        let mut engine = SyncEngine::new(self.topo, self.config, self.exits.to_vec());
+        engine.set_memoized(self.memoized);
+        engine.set_loop_prevention(self.loop_prevention);
+        engine
+    }
 }
 
 /// The original restore-step-rekey path over [`StateKey`]s. Kept as the
 /// executable specification that the equivalence tests drive [`FlatScheme`]
 /// against.
-struct LegacyScheme<'g> {
-    group: Option<&'g SymmetryGroup>,
+struct LegacyScheme<'a> {
+    setup: SyncSetup<'a>,
+    group: Option<&'a SymmetryGroup>,
     por: bool,
 }
 
-impl Scheme for LegacyScheme<'_> {
+impl<'a> Scheme for LegacyScheme<'a> {
     type Key = StateKey;
+    type Engine = SyncEngine<'a>;
+    type Snapshot = SyncSnapshot;
 
-    fn prepare_engine(&self, _engine: &mut SyncEngine) {}
+    fn engine(&self) -> SyncEngine<'a> {
+        self.setup.engine()
+    }
 
-    fn initial(&self, engine: &mut SyncEngine) -> Option<(StateKey, u64)> {
+    fn initial(&self, engine: &mut SyncEngine) -> Option<(StateKey, SyncSnapshot, u64)> {
         let raw = engine.state_key(0);
-        match self.group {
+        let (key, orbit) = match self.group {
             Some(g) => {
                 if g.guard_trips(&raw) {
                     return None;
                 }
-                Some(g.canonical(&raw))
+                g.canonical(&raw)
             }
-            None => Some((raw, 1)),
-        }
+            None => (raw, 1),
+        };
+        Some((key, engine.snapshot(), orbit))
     }
 
     fn expand_unit(
@@ -324,7 +369,7 @@ impl Scheme for LegacyScheme<'_> {
         snap: &SyncSnapshot,
         branches: &[Vec<RouterId>],
         visited: &Visited<StateKey>,
-    ) -> UnitOutcome<StateKey> {
+    ) -> UnitOutcome<StateKey, SyncSnapshot> {
         engine.restore(snap);
         let plan = engine.plan();
         if plan.stable {
@@ -388,37 +433,47 @@ impl Scheme for LegacyScheme<'_> {
             None => vec![bv.to_vec()],
         }
     }
+
+    fn metrics(&self, engine: &SyncEngine) -> Metrics {
+        engine.metrics()
+    }
 }
 
 /// The flat fixed-width encoding path. One [`SyncEngine::plan`] per
 /// frontier state replaces the per-branch restore/step churn, and
 /// [`SyncEngine::branch_snapshot`] only runs for successors that survive
 /// the pre-filter.
-struct FlatScheme<'g> {
+struct FlatScheme<'a> {
+    setup: SyncSetup<'a>,
     codec: Arc<StateCodec>,
-    group: Option<&'g SymmetryGroup>,
+    group: Option<&'a SymmetryGroup>,
     action: Option<FlatAction>,
     por: bool,
 }
 
-impl Scheme for FlatScheme<'_> {
+impl<'a> Scheme for FlatScheme<'a> {
     type Key = FlatKey;
+    type Engine = SyncEngine<'a>;
+    type Snapshot = SyncSnapshot;
 
-    fn prepare_engine(&self, engine: &mut SyncEngine) {
+    fn engine(&self) -> SyncEngine<'a> {
+        let mut engine = self.setup.engine();
         engine.set_codec(Arc::clone(&self.codec));
+        engine
     }
 
-    fn initial(&self, engine: &mut SyncEngine) -> Option<(FlatKey, u64)> {
+    fn initial(&self, engine: &mut SyncEngine) -> Option<(FlatKey, SyncSnapshot, u64)> {
         let raw = engine.flat_key();
-        match &self.action {
+        let (key, orbit) = match &self.action {
             Some(a) => {
                 if a.guard_trips(&raw) {
                     return None;
                 }
-                Some(a.canonical(&raw))
+                a.canonical(&raw)
             }
-            None => Some((raw, 1)),
-        }
+            None => (raw, 1),
+        };
+        Some((key, engine.snapshot(), orbit))
     }
 
     fn expand_unit(
@@ -427,7 +482,7 @@ impl Scheme for FlatScheme<'_> {
         snap: &SyncSnapshot,
         branches: &[Vec<RouterId>],
         visited: &Visited<FlatKey>,
-    ) -> UnitOutcome<FlatKey> {
+    ) -> UnitOutcome<FlatKey, SyncSnapshot> {
         engine.restore(snap);
         let plan = engine.plan();
         if plan.stable {
@@ -483,25 +538,124 @@ impl Scheme for FlatScheme<'_> {
             None => vec![bv.to_vec()],
         }
     }
+
+    fn metrics(&self, engine: &SyncEngine) -> Metrics {
+        engine.metrics()
+    }
+}
+
+/// The search for any [`SweepEngine`]. Frontier states are engine
+/// clones, so there is no separate expansion engine to restore.
+struct SweepScheme<E> {
+    initial: E,
+}
+
+/// Per-router encodings laid end to end, with the end offset of each
+/// router's span.
+struct RouterWords {
+    words: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl RouterWords {
+    fn of<E: SweepEngine>(nodes: &[E::Node]) -> Self {
+        let mut words = Vec::new();
+        let mut ends = Vec::with_capacity(nodes.len());
+        for node in nodes {
+            E::encode(node, &mut words);
+            ends.push(words.len());
+        }
+        Self { words, ends }
+    }
+
+    fn router(&self, u: usize) -> &[u32] {
+        let start = if u == 0 { 0 } else { self.ends[u - 1] };
+        &self.words[start..self.ends[u]]
+    }
+}
+
+/// The key of the successor that installs `updated` for the routers in
+/// `branch` (ascending) and keeps `current` everywhere else.
+fn branch_key(current: &RouterWords, updated: &RouterWords, branch: &[RouterId]) -> FlatKey {
+    let mut words = Vec::with_capacity(current.words.len().max(updated.words.len()));
+    let mut members = branch.iter().map(|r| r.index()).peekable();
+    for u in 0..current.ends.len() {
+        let source = if members.next_if_eq(&u).is_some() {
+            updated
+        } else {
+            current
+        };
+        words.extend_from_slice(source.router(u));
+    }
+    FlatKey::new(words.into_boxed_slice())
+}
+
+impl<E: SweepEngine + Send + Sync> Scheme for SweepScheme<E> {
+    type Key = FlatKey;
+    type Engine = ();
+    type Snapshot = E;
+
+    fn engine(&self) {}
+
+    fn initial(&self, _engine: &mut ()) -> Option<(FlatKey, E, u64)> {
+        let words = RouterWords::of::<E>(self.initial.nodes()).words;
+        Some((
+            FlatKey::new(words.into_boxed_slice()),
+            self.initial.clone(),
+            1,
+        ))
+    }
+
+    fn expand_unit(
+        &self,
+        _engine: &mut (),
+        snap: &E,
+        branches: &[Vec<RouterId>],
+        visited: &Visited<FlatKey>,
+    ) -> UnitOutcome<FlatKey, E> {
+        // One sweep serves the fixed-point test and every branch.
+        let updates = snap.update_all();
+        let current = RouterWords::of::<E>(snap.nodes());
+        let updated = RouterWords::of::<E>(&updates);
+        // Self-delimiting encodings: equal concatenations mean every
+        // router's update is a no-op.
+        if current.words == updated.words {
+            return UnitOutcome::Stable(snap.nodes().iter().map(E::best).collect());
+        }
+        let mut fresh = Vec::new();
+        for branch in branches {
+            let key = branch_key(&current, &updated, branch);
+            if !visited.contains(&key) {
+                let mut next = snap.clone();
+                next.apply(branch, &updates);
+                fresh.push((key, next, 1));
+            }
+        }
+        UnitOutcome::Expanded {
+            fresh,
+            unsound: false,
+            ample: false,
+        }
+    }
 }
 
 /// One worker handoff: a slice of the frontier plus a shared handle on
 /// the frozen visited set (returned with the results so the coordinator
 /// can reclaim unique ownership between levels).
-struct Batch<K> {
+struct Batch<K, T> {
     /// Index of `units[0]` within the level's frontier.
     base: usize,
-    units: Vec<SyncSnapshot>,
+    units: Vec<T>,
     visited: Arc<Visited<K>>,
 }
 
 /// Messages from workers to the coordinator.
-enum WorkerMsg<K> {
+enum WorkerMsg<K, T> {
     /// Outcomes of one batch, in unit order, plus the returned visited
     /// handle.
     Batch {
         base: usize,
-        outcomes: Vec<UnitOutcome<K>>,
+        outcomes: Vec<UnitOutcome<K, T>>,
         visited: Arc<Visited<K>>,
     },
     /// Final engine counters, sent once when the worker shuts down.
@@ -566,10 +720,13 @@ fn owned<K: SearchKey>(v: &mut Arc<Visited<K>>) -> &mut Visited<K> {
 /// unique ownership to insert.
 fn drive<S: Scheme>(
     scheme: &S,
-    mut frontier: Vec<SyncSnapshot>,
+    mut frontier: Vec<S::Snapshot>,
     visited: &mut Arc<Visited<S::Key>>,
     start: DriveStart,
-    mut expand: impl FnMut(Vec<SyncSnapshot>, &Arc<Visited<S::Key>>) -> Vec<UnitOutcome<S::Key>>,
+    mut expand: impl FnMut(
+        Vec<S::Snapshot>,
+        &Arc<Visited<S::Key>>,
+    ) -> Vec<UnitOutcome<S::Key, S::Snapshot>>,
 ) -> Progress {
     let DriveStart {
         max_states,
@@ -690,24 +847,26 @@ fn drive<S: Scheme>(
     p
 }
 
+/// A finished search: the merged bookkeeping, the summed engine
+/// counters, and the visited set's peak shard occupancy.
+struct Found {
+    progress: Progress,
+    engine_metrics: Metrics,
+    peak_shard: u64,
+}
+
 /// Run one scheme's search to completion. Returns `None` when symmetry
 /// must be abandoned (the initial state or a successor tripped the
 /// tie-soundness guard), in which case the caller restarts plain.
 fn run_search<S: Scheme>(
     scheme: &S,
-    topo: &Topology,
-    config: ProtocolConfig,
-    exits: &[ExitPathRef],
     options: &ExploreOptions,
     jobs: usize,
     branches: &[Vec<RouterId>],
-) -> Option<(Progress, Metrics, u64)> {
+) -> Option<Found> {
     let mut visited = Arc::new(Visited::<S::Key>::new());
-    let mut engine = SyncEngine::new(topo, config, exits.to_vec());
-    engine.set_memoized(options.memoized);
-    engine.set_loop_prevention(options.loop_prevention);
-    scheme.prepare_engine(&mut engine);
-    let (init_key, init_orbit) = scheme.initial(&mut engine)?;
+    let mut engine = scheme.engine();
+    let (init_key, init_snapshot, init_orbit) = scheme.initial(&mut engine)?;
     let init_bytes = match Arc::get_mut(&mut visited)
         .expect("freshly created")
         .insert(init_key)
@@ -715,42 +874,33 @@ fn run_search<S: Scheme>(
         Inserted::New { bytes, .. } => bytes,
         Inserted::Seen => 0,
     };
-    let frontier = vec![engine.snapshot()];
+    let frontier = vec![init_snapshot];
+    let start = DriveStart {
+        max_states: options.max_states,
+        max_bytes: options.max_bytes,
+        deadline: options.deadline,
+        initial_bytes: init_bytes,
+        initial_orbit: init_orbit,
+    };
 
     let (progress, engine_metrics) = if jobs <= 1 {
-        let p = drive(
-            scheme,
-            frontier,
-            &mut visited,
-            DriveStart {
-                max_states: options.max_states,
-                max_bytes: options.max_bytes,
-                deadline: options.deadline,
-                initial_bytes: init_bytes,
-                initial_orbit: init_orbit,
-            },
-            |units, visited| {
-                units
-                    .iter()
-                    .map(|snap| scheme.expand_unit(&mut engine, snap, branches, visited))
-                    .collect()
-            },
-        );
-        (p, engine.metrics())
+        let p = drive(scheme, frontier, &mut visited, start, |units, visited| {
+            units
+                .iter()
+                .map(|snap| scheme.expand_unit(&mut engine, snap, branches, visited))
+                .collect()
+        });
+        (p, scheme.metrics(&engine))
     } else {
         std::thread::scope(|scope| {
-            let (work_tx, work_rx) = mpsc::channel::<Batch<S::Key>>();
+            let (work_tx, work_rx) = mpsc::channel::<Batch<S::Key, S::Snapshot>>();
             let work_rx = Arc::new(Mutex::new(work_rx));
-            let (res_tx, res_rx) = mpsc::channel::<WorkerMsg<S::Key>>();
+            let (res_tx, res_rx) = mpsc::channel::<WorkerMsg<S::Key, S::Snapshot>>();
             for _ in 0..jobs {
                 let work_rx = Arc::clone(&work_rx);
                 let res_tx = res_tx.clone();
-                let exits = exits.to_vec();
                 scope.spawn(move || {
-                    let mut engine = SyncEngine::new(topo, config, exits);
-                    engine.set_memoized(options.memoized);
-                    engine.set_loop_prevention(options.loop_prevention);
-                    scheme.prepare_engine(&mut engine);
+                    let mut engine = scheme.engine();
                     loop {
                         // Hold the receiver lock only for the handoff.
                         let batch = work_rx.lock().expect("work queue poisoned").recv();
@@ -780,77 +930,65 @@ fn run_search<S: Scheme>(
                             break;
                         }
                     }
-                    let _ = res_tx.send(WorkerMsg::Done(engine.metrics()));
+                    let _ = res_tx.send(WorkerMsg::Done(scheme.metrics(&engine)));
                 });
             }
             drop(res_tx);
 
-            let p = drive(
-                scheme,
-                frontier,
-                &mut visited,
-                DriveStart {
-                    max_states: options.max_states,
-                    max_bytes: options.max_bytes,
-                    deadline: options.deadline,
-                    initial_bytes: init_bytes,
-                    initial_orbit: init_orbit,
-                },
-                |units, visited| {
-                    let len = units.len();
-                    // Batches amortize the channel and queue-lock traffic;
-                    // several batches per worker keep the level balanced
-                    // when unit costs vary.
-                    let batch_size = len.div_ceil(jobs * 4).clamp(1, MAX_BATCH);
-                    let mut units = units.into_iter();
-                    let mut base = 0usize;
-                    while base < len {
-                        let chunk: Vec<SyncSnapshot> = units.by_ref().take(batch_size).collect();
-                        let sent = chunk.len();
-                        work_tx
-                            .send(Batch {
-                                base,
-                                units: chunk,
-                                visited: Arc::clone(visited),
-                            })
-                            .expect("worker pool died");
-                        base += sent;
-                    }
-                    let mut outcomes: Vec<Option<UnitOutcome<S::Key>>> =
-                        std::iter::repeat_with(|| None).take(len).collect();
-                    let mut received = 0usize;
-                    while received < len {
-                        match res_rx.recv().expect("worker pool died") {
-                            WorkerMsg::Batch {
-                                base,
-                                outcomes: batch,
-                                visited,
-                            } => {
-                                // Drop the returned handle immediately so
-                                // the post-level `Arc::get_mut` succeeds.
-                                drop(visited);
-                                received += batch.len();
-                                for (i, out) in batch.into_iter().enumerate() {
-                                    outcomes[base + i] = Some(out);
-                                }
-                            }
-                            WorkerMsg::Done(_) => {
-                                unreachable!("workers outlive the work channel")
+            let p = drive(scheme, frontier, &mut visited, start, |units, visited| {
+                let len = units.len();
+                // Batches amortize the channel and queue-lock traffic;
+                // several batches per worker keep the level balanced
+                // when unit costs vary.
+                let batch_size = len.div_ceil(jobs * 4).clamp(1, MAX_BATCH);
+                let mut units = units.into_iter();
+                let mut base = 0usize;
+                while base < len {
+                    let chunk: Vec<S::Snapshot> = units.by_ref().take(batch_size).collect();
+                    let sent = chunk.len();
+                    work_tx
+                        .send(Batch {
+                            base,
+                            units: chunk,
+                            visited: Arc::clone(visited),
+                        })
+                        .expect("worker pool died");
+                    base += sent;
+                }
+                let mut outcomes: Vec<Option<UnitOutcome<S::Key, S::Snapshot>>> =
+                    std::iter::repeat_with(|| None).take(len).collect();
+                let mut received = 0usize;
+                while received < len {
+                    match res_rx.recv().expect("worker pool died") {
+                        WorkerMsg::Batch {
+                            base,
+                            outcomes: batch,
+                            visited,
+                        } => {
+                            // Drop the returned handle immediately so
+                            // the post-level `Arc::get_mut` succeeds.
+                            drop(visited);
+                            received += batch.len();
+                            for (i, out) in batch.into_iter().enumerate() {
+                                outcomes[base + i] = Some(out);
                             }
                         }
+                        WorkerMsg::Done(_) => {
+                            unreachable!("workers outlive the work channel")
+                        }
                     }
-                    outcomes
-                        .into_iter()
-                        .map(|o| o.expect("every unit reports exactly once"))
-                        .collect()
-                },
-            );
+                }
+                outcomes
+                    .into_iter()
+                    .map(|o| o.expect("every unit reports exactly once"))
+                    .collect()
+            });
 
             // Closing the work channel tells each worker to report its
             // counters and exit; the merge is a commutative sum, so the
             // arrival order does not matter.
             drop(work_tx);
-            let mut merged = engine.metrics();
+            let mut merged = scheme.metrics(&engine);
             for msg in res_rx {
                 if let WorkerMsg::Done(m) = msg {
                     merged.absorb_engine(&m);
@@ -864,7 +1002,19 @@ fn run_search<S: Scheme>(
         return None;
     }
     let peak_shard = visited.peak_shard();
-    Some((progress, engine_metrics, peak_shard))
+    Some(Found {
+        progress,
+        engine_metrics,
+        peak_shard,
+    })
+}
+
+/// Branch choices: each singleton, plus the full activation set. Every
+/// set lists its routers in ascending order.
+fn branch_sets(n: usize) -> Vec<Vec<RouterId>> {
+    let mut branches: Vec<Vec<RouterId>> = (0..n as u32).map(|i| vec![RouterId::new(i)]).collect();
+    branches.push((0..n as u32).map(RouterId::new).collect());
+    branches
 }
 
 /// The search driver behind [`crate::reachability::explore`].
@@ -887,6 +1037,25 @@ pub(crate) fn search(
         return search_inner(topo, config, exits, &legacy, started);
     }
     search_inner(topo, config, exits, options, started)
+}
+
+/// The search behind [`crate::reachability::explore_sweep`].
+/// Sweep engines have no automorphism action and no ample-set proof, so
+/// the search declines symmetry and POR the way loop prevention does:
+/// the verdict reports group order 0 and no ample expansions.
+pub(crate) fn sweep_search<E: SweepEngine + Send + Sync>(
+    initial: E,
+    options: &ExploreOptions,
+) -> Reachability {
+    let started = Instant::now();
+    let mut plain = options.clone();
+    plain.symmetry = false;
+    plain.por = false;
+    let jobs = plain.effective_jobs();
+    let branches = branch_sets(initial.nodes().len());
+    let found = run_search(&SweepScheme { initial }, &plain, jobs, &branches)
+        .expect("the guard only fires under symmetry");
+    report(found, &plain, jobs, None, started)
 }
 
 /// Rerun with symmetry off after the tie-soundness guard fired (or the
@@ -916,7 +1085,6 @@ fn search_inner(
     started: Instant,
 ) -> Reachability {
     let jobs = options.effective_jobs();
-    let n = topo.len();
 
     // The automorphism group is computed once per search; a trivial group
     // disables the canonicalization machinery but still reports its
@@ -924,35 +1092,58 @@ fn search_inner(
     let group_storage = options
         .symmetry
         .then(|| SymmetryGroup::compute(topo, config, &exits));
-    let group_order = group_storage.as_ref().map(SymmetryGroup::order);
     let group = group_storage.as_ref().filter(|g| !g.is_trivial());
+    let branches = branch_sets(topo.len());
+    let setup = SyncSetup {
+        topo,
+        config,
+        exits: &exits,
+        memoized: options.memoized,
+        loop_prevention: options.loop_prevention,
+    };
 
-    // Branch choices: each singleton, plus the full activation set.
-    let mut branches: Vec<Vec<RouterId>> = (0..n as u32).map(|i| vec![RouterId::new(i)]).collect();
-    branches.push((0..n as u32).map(RouterId::new).collect());
-
-    let outcome = if options.flat {
-        let codec = Arc::new(StateCodec::new(n, &exits));
+    let found = if options.flat {
+        let codec = Arc::new(StateCodec::new(topo.len(), &exits));
         let action = group.map(|g| FlatAction::new(g, &codec));
         let scheme = FlatScheme {
+            setup,
             codec,
             group,
             action,
             por: options.por,
         };
-        run_search(&scheme, topo, config, &exits, options, jobs, &branches)
+        run_search(&scheme, options, jobs, &branches)
     } else {
         let scheme = LegacyScheme {
+            setup,
             group,
             por: options.por,
         };
-        run_search(&scheme, topo, config, &exits, options, jobs, &branches)
+        run_search(&scheme, options, jobs, &branches)
     };
 
-    let Some((progress, engine_metrics, peak_shard)) = outcome else {
-        return fallback_without_symmetry(topo, config, exits, options, started);
-    };
+    match found {
+        Some(found) => report(found, options, jobs, group_storage.as_ref(), started),
+        None => fallback_without_symmetry(topo, config, exits, options, started),
+    }
+}
 
+/// Lower a finished search to its [`Reachability`]: the search's gauges
+/// on top of the engine counters, and the stable vectors in canonical
+/// order. `group` is the automorphism group the search computed, if
+/// symmetry was requested.
+fn report(
+    found: Found,
+    options: &ExploreOptions,
+    jobs: usize,
+    group: Option<&SymmetryGroup>,
+    started: Instant,
+) -> Reachability {
+    let Found {
+        progress,
+        engine_metrics,
+        peak_shard,
+    } = found;
     let mut metrics = engine_metrics;
     metrics.states_visited = progress.states as u64;
     metrics.elapsed_nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -961,15 +1152,13 @@ fn search_inner(
     metrics.workers = jobs as u64;
     metrics.handoffs = if jobs <= 1 { 0 } else { progress.units };
     metrics.peak_shard = peak_shard;
-    metrics.group_order = group_order.unwrap_or(0);
-    metrics.orbit_states = if group.is_some() {
-        progress.orbit_states
-    } else if options.symmetry {
+    metrics.group_order = group.map_or(0, SymmetryGroup::order);
+    metrics.orbit_states = match group {
+        Some(g) if !g.is_trivial() => progress.orbit_states,
         // Symmetry was requested but the group is trivial: every state is
         // its own orbit, for an honest reduction factor of 1.0.
-        progress.states as u64
-    } else {
-        0
+        Some(_) => progress.states as u64,
+        None => 0,
     };
     metrics.digest_collisions = progress.collisions;
     metrics.compactions = progress.compactions;

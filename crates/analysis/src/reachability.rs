@@ -19,7 +19,7 @@
 //! result is bit-identical for every [`ExploreOptions::jobs`] setting.
 
 use ibgp_proto::variants::ProtocolConfig;
-use ibgp_sim::Metrics;
+use ibgp_sim::{Metrics, SweepEngine};
 use ibgp_topology::Topology;
 use ibgp_types::{ExitPathId, ExitPathRef, SolverMode, StopReason, VerdictOrigin};
 use std::time::Instant;
@@ -42,6 +42,14 @@ pub struct ExploreOptions {
     pub(crate) deadline: Option<Instant>,
     pub(crate) solver: SolverMode,
     pub(crate) loop_prevention: bool,
+}
+
+/// A bare state cap: the defaults with that cap, explored in-thread
+/// (`jobs = 1`).
+impl From<usize> for ExploreOptions {
+    fn from(max_states: usize) -> Self {
+        Self::new().max_states(max_states).jobs(1)
+    }
 }
 
 /// Ceiling on auto-selected workers (`jobs = 0`). Search levels on the
@@ -153,7 +161,7 @@ impl ExploreOptions {
     /// budget the search compacts full state keys to digest-only hashes
     /// (collision counts land in [`Metrics::digest_collisions`]); if the
     /// digests alone exceed the budget, the search stops and reports
-    /// "ran out of memory budget" via [`Reachability::memory`] instead
+    /// "ran out of memory budget" ([`StopReason::MemoryBudget`]) instead
     /// of growing without bound.
     pub fn max_bytes(mut self, max_bytes: usize) -> Self {
         self.max_bytes = Some(max_bytes);
@@ -266,18 +274,6 @@ impl Reachability {
     pub fn memory_exhausted(&self) -> bool {
         matches!(self.stop, StopReason::MemoryBudget(_))
     }
-
-    /// The state cap that stopped the search, when one did.
-    #[deprecated(note = "read the `stop` field (`StopReason`) instead")]
-    pub fn cap(&self) -> Option<usize> {
-        self.stop.state_cap()
-    }
-
-    /// The byte budget that stopped the search, when one did.
-    #[deprecated(note = "read the `stop` field (`StopReason`) instead")]
-    pub fn memory(&self) -> Option<usize> {
-        self.stop.memory_budget()
-    }
 }
 
 /// Explore every configuration reachable from `config(0)`.
@@ -308,6 +304,23 @@ pub fn explore(
     options: ExploreOptions,
 ) -> Reachability {
     crate::parallel::search(topo, config, exits, &options)
+}
+
+/// Explore every configuration reachable from `initial` for an engine
+/// of the one-sweep shape — the confederation and hierarchy engines.
+///
+/// The same level-synchronous search as [`explore`], so the state cap,
+/// [`ExploreOptions::max_bytes`], [`ExploreOptions::deadline`], and
+/// [`ExploreOptions::jobs`] apply, with bit-identical results at every
+/// worker count. Symmetry and partial-order reduction are declined
+/// (neither has a proof for these engines): the metrics report group
+/// order 0 and no ample expansions. The flat/legacy encoding choice,
+/// memoization, loop prevention, and the solver do not apply.
+pub fn explore_sweep<E>(initial: E, options: ExploreOptions) -> Reachability
+where
+    E: SweepEngine + Send + Sync,
+{
+    crate::parallel::sweep_search(initial, &options)
 }
 
 #[cfg(test)]

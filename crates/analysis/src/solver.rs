@@ -65,38 +65,26 @@ pub fn classify_sat(
         budget = budget.deadline(deadline);
     }
     let report = enumerate_stable(topo, config.policy, exits, &budget);
-    let class = if !report.complete {
-        OscillationClass::Unknown
-    } else if report.fixed_points.is_empty() {
-        OscillationClass::Persistent
-    } else if report.fixed_points.len() > 1 {
-        OscillationClass::Transient
-    } else {
+    let mut reach = Reachability {
+        states: 0,
+        complete: report.complete,
+        stable_vectors: report.fixed_points,
+        stop: report.stop,
+        metrics: Metrics::default(),
+        origin: VerdictOrigin::Solver,
+    };
+    let mut class = OscillationClass::from_evidence(&reach);
+    if class == OscillationClass::Stable {
         // Unique fixed point: probe the simultaneous schedule for a live
         // cycle, exactly as the search-based classifier does.
         let probe_budget = 4 * options.max_states as u64 + 16;
         let mut engine = SyncEngine::new(topo, config, exits.to_vec());
         if engine.run(&mut AllAtOnce, probe_budget).cycled() {
-            OscillationClass::Transient
-        } else {
-            OscillationClass::Stable
+            class = OscillationClass::Transient;
         }
-    };
-    let metrics = Metrics {
-        elapsed_nanos: started.elapsed().as_nanos() as u64,
-        ..Metrics::default()
-    };
-    Some((
-        class,
-        Reachability {
-            states: 0,
-            complete: report.complete,
-            stable_vectors: report.fixed_points,
-            stop: report.stop,
-            metrics,
-            origin: VerdictOrigin::Solver,
-        },
-    ))
+    }
+    reach.metrics.elapsed_nanos = started.elapsed().as_nanos() as u64;
+    Some((class, reach))
 }
 
 #[cfg(test)]

@@ -277,19 +277,10 @@ fn classify(name: &str, variant: ProtocolVariant, opts: SearchArgs) {
     let s = lookup(name);
     let n = Network::from_scenario(&s, variant);
     let (class, reach) = n.classify(opts.explore_options());
-    let solved = reach.origin == ibgp::types::VerdictOrigin::Solver;
-    let stable_count = (solved && reach.complete).then_some(reach.stable_vectors.len());
-    let verdict = Verdict {
-        class,
-        states: reach.states,
-        complete: reach.complete,
-        stop: reach.stop,
-        stable_vectors: reach.stable_vectors,
-        metrics: (!solved).then_some(reach.metrics),
-        origin: reach.origin,
-        stable_count,
-    };
-    print_verdict(&format!("{name} under {variant}"), &verdict);
+    print_verdict(
+        &format!("{name} under {variant}"),
+        &Verdict::new(class, reach),
+    );
 }
 
 fn load_spec_or_die(path: &str) -> ibgp_hunt::ScenarioSpec {
@@ -297,22 +288,6 @@ fn load_spec_or_die(path: &str) -> ibgp_hunt::ScenarioSpec {
         eprintln!("cannot load `{path}`: {e}");
         std::process::exit(2);
     })
-}
-
-/// Warn, per flag, when a confederation/hierarchy spec is about to go
-/// through its dedicated search — those searches honor only
-/// `--max-states` and `--deadline-ms`, and silently dropping the rest has historically made
-/// "same flags, different scenario kind" runs incomparable.
-fn warn_ignored_flags(kind: &ibgp_hunt::SpecKind, opts: &HuntOptions) {
-    if matches!(kind, ibgp_hunt::SpecKind::Reflection(_)) {
-        return;
-    }
-    for flag in opts.reflection_only_flags() {
-        eprintln!(
-            "warning: {flag} is ignored for {} scenarios (only --max-states and --deadline-ms apply)",
-            kind.keyword()
-        );
-    }
 }
 
 fn classify_file(path: &str, opts: SearchArgs) {
@@ -326,7 +301,6 @@ fn classify_file(path: &str, opts: SearchArgs) {
             r.loop_prevention = true;
         }
     }
-    warn_ignored_flags(&spec.kind, &opts);
     match ibgp_hunt::classify_spec(&spec, &opts) {
         Ok(verdict) => {
             let label = format!(
@@ -359,17 +333,6 @@ fn hunt(
         }
     }
     cfg.options = opts.hunt_options();
-    // Per-flag warning for the families whose dedicated searches will
-    // drop the reflection-only knobs (mirrors `warn_ignored_flags`,
-    // keyed on the family since no spec exists yet).
-    for family in cfg.families.iter().filter(|f| !f.uses_reflection_search()) {
-        for flag in cfg.options.reflection_only_flags() {
-            eprintln!(
-                "warning: {flag} is ignored for {} scenarios (only --max-states and --deadline-ms apply)",
-                family.keyword()
-            );
-        }
-    }
     let report = ibgp_hunt::run_campaign(&cfg).map_err(|e| e.to_string())?;
     println!(
         "hunt: seed {seed}, {} topologies into {out}/",
@@ -418,7 +381,6 @@ fn hunt(
 fn minimize_file(path: &str, out: Option<&str>, opts: SearchArgs) -> Result<(), String> {
     let spec = load_spec_or_die(path);
     let opts = opts.hunt_options();
-    warn_ignored_flags(&spec.kind, &opts);
     let result = ibgp_hunt::minimize(&spec, &opts).map_err(|e| e.to_string())?;
     println!(
         "minimize {}: verdict `{}` preserved over {} reclassification(s)",

@@ -218,86 +218,53 @@ fn classify_with_por_keeps_the_verdict_and_reports_the_split() {
 }
 
 #[test]
-fn reflection_only_flags_warn_on_confed_specs() {
+fn confed_specs_run_on_the_shared_explorer_with_jobs_and_max_bytes() {
     use ibgp_hunt::{generate_spec, Family};
-    let dir = temp_dir("warnflags");
+    let dir = temp_dir("confedjobs");
     std::fs::create_dir_all(&dir).unwrap();
-    let spec = generate_spec(Family::Confed, 1, 0);
     let path = dir.join("confed.ibgp");
-    std::fs::write(&path, ibgp_hunt::print(&spec)).unwrap();
+    std::fs::write(
+        &path,
+        ibgp_hunt::print(&generate_spec(Family::Confed, 7, 8)),
+    )
+    .unwrap();
     let path = path.to_string_lossy().into_owned();
 
-    // classify: one warning per dropped flag, nothing silent.
-    let (_, stderr, ok) = run(&[
-        "classify",
-        &path,
-        "--jobs",
-        "2",
-        "--symmetry",
-        "--por",
-        "--max-bytes",
-        "1048576",
-        "--loop-prevention",
-    ]);
-    assert!(ok, "{stderr}");
-    for flag in [
-        "--jobs",
-        "--symmetry",
-        "--por",
-        "--max-bytes",
-        "--loop-prevention",
-    ] {
-        assert!(
-            stderr.contains(&format!("warning: {flag} is ignored for confed scenarios")),
-            "missing warning for {flag} in:\n{stderr}"
-        );
-    }
+    let classify = |jobs: &str| {
+        let (stdout, stderr, ok) =
+            run(&["classify", &path, "--jobs", jobs, "--max-bytes", "1048576"]);
+        assert!(ok, "{stderr}");
+        assert!(!stderr.contains("warning"), "{stderr}");
+        stdout
+    };
+    let one = classify("1");
+    let two = classify("2");
+    assert!(two.contains(" on 2 worker(s) "), "{two}");
+    assert!(
+        two.contains("update cache:"),
+        "metrics block missing:\n{two}"
+    );
+    // Everything but the throughput line (rate and worker count) is the
+    // same verdict.
+    let verdict = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| !l.contains("states/sec"))
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(verdict(&one), verdict(&two));
+    assert!(
+        one.contains("603 reachable configurations (complete search: true)"),
+        "{one}"
+    );
 
-    // run <file> shares the classify path and its warnings.
-    let (_, stderr, ok) = run(&["run", &path, "--symmetry"]);
+    // A byte budget too small for the search stops it, explicitly.
+    let (stdout, _, ok) = run(&["classify", &path, "--jobs", "2", "--max-bytes", "64"]);
     assert!(ok);
     assert!(
-        stderr.contains("warning: --symmetry is ignored for confed scenarios"),
-        "{stderr}"
+        stdout.contains("memory budget 64 bytes exhausted"),
+        "{stdout}"
     );
-
-    // minimize warns before reclassifying.
-    let (_, stderr, ok) = run(&["minimize", &path, "--por"]);
-    assert!(ok, "{stderr}");
-    assert!(
-        stderr.contains("warning: --por is ignored for confed scenarios"),
-        "{stderr}"
-    );
-
-    // hunt warns per selected non-reflection family.
-    let out = dir.join("hunt-out");
-    let (_, stderr, ok) = run(&[
-        "hunt",
-        "--budget",
-        "1",
-        "--families",
-        "confed",
-        "--por",
-        "--out",
-        &out.to_string_lossy(),
-    ]);
-    assert!(ok, "{stderr}");
-    assert!(
-        stderr.contains("warning: --por is ignored for confed scenarios"),
-        "{stderr}"
-    );
-
-    // The same flags on a reflection spec are honored, not warned about.
-    let (_, stderr, ok) = run(&[
-        "classify",
-        &golden("fig1a"),
-        "--jobs",
-        "2",
-        "--symmetry",
-        "--por",
-    ]);
-    assert!(ok);
-    assert!(!stderr.contains("warning"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

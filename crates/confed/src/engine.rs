@@ -23,7 +23,7 @@
 use crate::announcement::{Announcement, RouteSource};
 use crate::topology::ConfedTopology;
 use ibgp_proto::selection::{choose_set, MedMode};
-use ibgp_sim::{Engine, RoundRobin, SyncOutcome};
+use ibgp_sim::{Engine, RoundRobin, SweepEngine, SyncOutcome};
 use ibgp_types::RouterId;
 use ibgp_types::{ExitPathId, ExitPathRef, IgpCost};
 use serde::{Deserialize, Serialize};
@@ -49,40 +49,15 @@ impl fmt::Display for ConfedMode {
     }
 }
 
+/// One router's state: its own exits, candidates, best, and what it
+/// advertises.
 #[derive(Debug, Clone)]
-pub(crate) struct NodeState {
+pub struct NodeState {
     my_exits: Vec<ExitPathRef>,
     /// Candidate announcements, keyed by exit-path id.
     possible: BTreeMap<ExitPathId, Announcement>,
     best: Option<Announcement>,
     advertised: Vec<Announcement>,
-}
-
-/// Canonical per-node state encoding used for dedup and cycle detection.
-pub type NodeKey = (
-    Vec<(ExitPathId, Vec<u32>, u8)>,
-    Option<ExitPathId>,
-    Vec<(ExitPathId, Vec<u32>)>,
-);
-
-impl NodeState {
-    fn key(&self) -> NodeKey {
-        let enc = |a: &Announcement| {
-            (
-                a.id(),
-                a.visited.iter().map(|s| s.0).collect::<Vec<_>>(),
-                a.source as u8,
-            )
-        };
-        (
-            self.possible.values().map(enc).collect(),
-            self.best.as_ref().map(Announcement::id),
-            self.advertised
-                .iter()
-                .map(|a| (a.id(), a.visited.iter().map(|s| s.0).collect()))
-                .collect(),
-        )
-    }
 }
 
 /// The confederation pull engine.
@@ -150,14 +125,6 @@ impl<'a> ConfedEngine<'a> {
     /// The currently advertised announcements at `u`.
     pub fn advertised(&self, u: RouterId) -> &[Announcement] {
         &self.nodes[u.index()].advertised
-    }
-
-    /// The best-exit vector.
-    pub fn best_vector(&self) -> Vec<Option<ExitPathId>> {
-        self.nodes
-            .iter()
-            .map(|s| s.best.as_ref().map(Announcement::id))
-            .collect()
     }
 
     /// Steps applied so far.
@@ -267,82 +234,61 @@ impl<'a> ConfedEngine<'a> {
         }
     }
 
-    /// Recompute every router's state from the current (pre-step) global
-    /// state — one full synchronous sweep, indexed by router.
-    pub(crate) fn update_all(&self) -> Vec<NodeState> {
-        self.topo
-            .routers()
-            .map(|u| self.compute_update(u))
-            .collect()
-    }
-
-    /// Whether a full sweep's worth of updates changes nothing — i.e. the
-    /// current configuration is a fixed point.
-    pub(crate) fn is_fixed_point(&self, updates: &[NodeState]) -> bool {
-        updates
-            .iter()
-            .zip(&self.nodes)
-            .all(|(new, cur)| new.key() == cur.key())
-    }
-
-    /// Install the precomputed updates for the routers in `set` (one
-    /// activation step whose sweep was already computed).
-    pub(crate) fn apply(&mut self, set: &[RouterId], updates: &[NodeState]) {
-        for &u in set {
-            self.nodes[u.index()] = updates[u.index()].clone();
-        }
-        self.time += 1;
-    }
-
-    /// Apply one activation step (all members read the pre-step state).
-    /// Returns whether the pre-step configuration was already a fixed
-    /// point.
-    pub fn step(&mut self, set: &[RouterId]) -> bool {
-        let updates = self.update_all();
-        let stable = self.is_fixed_point(&updates);
-        self.apply(set, &updates);
-        stable
-    }
-
-    /// Whether the configuration is a fixed point.
-    pub fn is_stable(&self) -> bool {
-        self.topo
-            .routers()
-            .all(|u| self.compute_update(u).key() == self.nodes[u.index()].key())
-    }
-
-    /// Canonical state key for cycle detection / search.
-    pub fn state_key(&self, phase: u64) -> (Vec<NodeKey>, u64) {
-        (self.nodes.iter().map(NodeState::key).collect(), phase)
-    }
-
     /// Run under round-robin singleton activations until a verdict.
     pub fn run_round_robin(&mut self, max_steps: u64) -> SyncOutcome {
         Engine::run(self, &mut RoundRobin::new(), max_steps)
     }
 }
 
-impl Engine for ConfedEngine<'_> {
-    type Key = (Vec<NodeKey>, u64);
+impl SweepEngine for ConfedEngine<'_> {
+    type Node = NodeState;
 
-    fn router_count(&self) -> usize {
-        self.topo.len()
+    fn nodes(&self) -> &[NodeState] {
+        &self.nodes
     }
 
-    fn step(&mut self, set: &[RouterId]) -> bool {
-        ConfedEngine::step(self, set)
+    fn update_all(&self) -> Vec<NodeState> {
+        self.topo
+            .routers()
+            .map(|u| self.compute_update(u))
+            .collect()
     }
 
-    fn is_stable(&self) -> bool {
-        ConfedEngine::is_stable(self)
+    fn apply(&mut self, set: &[RouterId], updates: &[NodeState]) {
+        for &u in set {
+            self.nodes[u.index()] = updates[u.index()].clone();
+        }
+        self.time += 1;
     }
 
-    fn state_key(&self, phase: u64) -> Self::Key {
-        ConfedEngine::state_key(self, phase)
+    /// Canonical encoding for dedup and cycle detection: each candidate
+    /// as (id, visited sub-ASes, source), the best id, and each
+    /// advertisement as (id, visited sub-ASes), every list
+    /// length-prefixed.
+    fn encode(node: &NodeState, out: &mut Vec<u32>) {
+        let visited = |a: &Announcement, out: &mut Vec<u32>| {
+            out.push(a.visited.len() as u32);
+            out.extend(a.visited.iter().map(|s| s.0));
+        };
+        out.push(node.possible.len() as u32);
+        for a in node.possible.values() {
+            out.push(a.id().raw());
+            visited(a, out);
+            out.push(a.source as u32);
+        }
+        match &node.best {
+            Some(a) => out.extend([1, a.id().raw()]),
+            None => out.push(0),
+        }
+        out.push(node.advertised.len() as u32);
+        for a in &node.advertised {
+            out.push(a.id().raw());
+            visited(a, out);
+        }
     }
 
-    fn best_vector(&self) -> Vec<Option<ExitPathId>> {
-        ConfedEngine::best_vector(self)
+    fn best(node: &NodeState) -> Option<ExitPathId> {
+        node.best.as_ref().map(Announcement::id)
     }
 }
 

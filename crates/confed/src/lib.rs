@@ -25,8 +25,9 @@
 //!   behaviour), extended once with its sender's sub-AS and dropped by
 //!   receivers whose own sub-AS already appears in the list.
 //! * [`search`] — exhaustive reachability over activation
-//!   nondeterminism, as in `ibgp-analysis`, so persistent oscillation is
-//!   *proven*, not observed.
+//!   nondeterminism on `ibgp-analysis`'s explorer (the engine is an
+//!   `ibgp_sim::SweepEngine`), so persistent oscillation is *proven*,
+//!   not observed.
 //! * [`scenarios`] — the confederation analog of Fig 1(a): the same
 //!   MED-hiding cycle transplanted onto two sub-ASes, which this crate's
 //!   tests prove persistent under single-best advertisement — and the
@@ -47,5 +48,5 @@ pub use announcement::{Announcement, RouteSource};
 pub use engine::{ConfedEngine, ConfedMode};
 pub use ibgp_sim::{Engine, SyncOutcome};
 pub use random::{random_confederation, RandomConfedConfig};
-pub use search::{explore_confed, ConfedReachability};
+pub use search::explore_confed;
 pub use topology::{ConfedTopology, SubAsId};

@@ -1,137 +1,25 @@
 //! Exhaustive reachability over activation nondeterminism for the
-//! confederation engine (the analog of `ibgp-analysis::explore`).
+//! confederation engine: the shared level-synchronous explorer of
+//! `ibgp-analysis`, driven through the engine's one-sweep shape.
 
 use crate::engine::{ConfedEngine, ConfedMode};
 use crate::topology::ConfedTopology;
-use ibgp_types::{ExitPathId, ExitPathRef, RouterId, SearchBudget, StopReason};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
-
-/// Result of a bounded exploration.
-#[derive(Debug, Clone)]
-pub struct ConfedReachability {
-    /// Distinct configurations visited.
-    pub states: usize,
-    /// Whether the whole reachable space fit under the budget.
-    pub complete: bool,
-    /// Why the search ended. Always from the search itself — consumers
-    /// must not infer a stop reason from `complete` alone.
-    pub stop: StopReason,
-    /// Distinct stable best-exit vectors found.
-    pub stable_vectors: Vec<Vec<Option<ExitPathId>>>,
-}
-
-impl ConfedReachability {
-    /// Whether a stable configuration is reachable.
-    pub fn can_converge(&self) -> bool {
-        !self.stable_vectors.is_empty()
-    }
-
-    /// Whether persistent oscillation is proven (complete, no stable).
-    pub fn persistent_oscillation(&self) -> bool {
-        self.complete && self.stable_vectors.is_empty()
-    }
-
-    /// The state cap that stopped the search, when one did.
-    #[deprecated(note = "read the `stop` field (`StopReason`) instead")]
-    pub fn cap(&self) -> Option<usize> {
-        self.stop.state_cap()
-    }
-}
-
-fn digest<T: Hash>(t: &T) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    t.hash(&mut h);
-    h.finish()
-}
+use ibgp_analysis::{explore_sweep, ExploreOptions, Reachability};
+use ibgp_types::ExitPathRef;
 
 /// Explore every configuration reachable from the initial state under
 /// singleton and full-set activations.
 ///
-/// The budget honors `max_states` and `deadline` (checked between state
-/// expansions, so an already-expired deadline stops deterministically at
-/// the initial state); this search has no visited-set byte accounting,
-/// so `max_bytes` is ignored and callers warn about the dropped flag.
-/// A bare `usize` converts to a states-only budget.
+/// The options' state cap, byte budget, deadline, and worker count all
+/// apply (see [`explore_sweep`]). A bare `usize` is a state cap explored
+/// in-thread.
 pub fn explore_confed(
     topo: &ConfedTopology,
     mode: ConfedMode,
     exits: Vec<ExitPathRef>,
-    budget: impl Into<SearchBudget>,
-) -> ConfedReachability {
-    let budget: SearchBudget = budget.into();
-    let max_states = budget.max_states;
-    let engine0 = ConfedEngine::new(topo, mode, exits);
-    let n = topo.len();
-    let mut branches: Vec<Vec<RouterId>> = (0..n as u32).map(|i| vec![RouterId::new(i)]).collect();
-    branches.push((0..n as u32).map(RouterId::new).collect());
-
-    let mut visited: HashMap<u64, Vec<(Vec<_>, u64)>> = HashMap::new();
-    let mut queue: VecDeque<ConfedEngine> = VecDeque::new();
-    let mut stable_vectors = Vec::new();
-    let mut states = 0usize;
-
-    let mut try_visit = |eng: &ConfedEngine| -> bool {
-        let (key, _) = eng.state_key(0);
-        let d = digest(&key);
-        let bucket = visited.entry(d).or_default();
-        if bucket.iter().any(|(k, _)| *k == key) {
-            false
-        } else {
-            bucket.push((key, 0));
-            true
-        }
-    };
-
-    if try_visit(&engine0) {
-        states += 1;
-        queue.push_back(engine0);
-    }
-
-    while let Some(eng) = queue.pop_front() {
-        if budget.expired() {
-            return ConfedReachability {
-                states,
-                complete: false,
-                stop: StopReason::Deadline,
-                stable_vectors,
-            };
-        }
-        // One synchronous sweep serves both the stability test and every
-        // branch: `step` on a clone would recompute the same n updates
-        // per branch.
-        let updates = eng.update_all();
-        if eng.is_fixed_point(&updates) {
-            let bv = eng.best_vector();
-            if !stable_vectors.contains(&bv) {
-                stable_vectors.push(bv);
-            }
-            continue;
-        }
-        for branch in &branches {
-            let mut next = eng.clone();
-            next.apply(branch, &updates);
-            if try_visit(&next) {
-                states += 1;
-                if states > max_states {
-                    return ConfedReachability {
-                        states,
-                        complete: false,
-                        stop: StopReason::StateCap(max_states),
-                        stable_vectors,
-                    };
-                }
-                queue.push_back(next);
-            }
-        }
-    }
-
-    ConfedReachability {
-        states,
-        complete: true,
-        stop: StopReason::Complete,
-        stable_vectors,
-    }
+    options: impl Into<ExploreOptions>,
+) -> Reachability {
+    explore_sweep(ConfedEngine::new(topo, mode, exits), options.into())
 }
 
 #[cfg(test)]
@@ -139,7 +27,7 @@ mod tests {
     use super::*;
     use crate::topology::SubAsId;
     use ibgp_topology::PhysicalGraph;
-    use ibgp_types::{AsId, ExitPath, IgpCost, Med};
+    use ibgp_types::{AsId, ExitPath, ExitPathId, IgpCost, Med, RouterId, StopReason};
     use std::sync::Arc;
 
     fn r(i: u32) -> RouterId {
@@ -169,6 +57,8 @@ mod tests {
         assert!(reach.can_converge());
         assert_eq!(reach.stable_vectors.len(), 1);
         assert!(!reach.persistent_oscillation());
+        assert_eq!(reach.metrics.workers, 1, "a bare cap explores in-thread");
+        assert_eq!(reach.metrics.states_visited as usize, reach.states);
     }
 
     #[test]
@@ -191,18 +81,11 @@ mod tests {
             "capped searches name the cap that hit"
         );
         assert!(!reach.persistent_oscillation());
-        #[allow(deprecated)]
-        let shim = reach.cap();
-        assert_eq!(shim, Some(1), "the deprecated accessor keeps working");
 
         // An already-expired deadline stops before any expansion, and the
         // stop reason says so rather than blaming a cap.
-        let mut g = PhysicalGraph::new(2);
-        g.add_link(r(0), r(1), IgpCost::new(1)).unwrap();
-        let topo =
-            ConfedTopology::new(g, vec![SubAsId(0), SubAsId(1)], vec![(r(0), r(1))]).unwrap();
-        let budget = SearchBudget::states(10_000).deadline(std::time::Instant::now());
-        let reach = explore_confed(&topo, ConfedMode::SingleBest, vec![exit], budget);
+        let options = ExploreOptions::new().deadline(std::time::Instant::now());
+        let reach = explore_confed(&topo, ConfedMode::SingleBest, vec![exit], options);
         assert!(!reach.complete);
         assert_eq!(reach.stop, StopReason::Deadline);
         assert_eq!(reach.states, 1, "only the initial state was visited");

@@ -15,7 +15,7 @@
 use crate::topology::{HierTopology, SessionKind};
 use ibgp_proto::selection::choose_set;
 use ibgp_proto::{choose_best, SelectionPolicy};
-use ibgp_sim::{Engine, RoundRobin, SyncOutcome};
+use ibgp_sim::{Engine, RoundRobin, SweepEngine, SyncOutcome};
 use ibgp_types::{BgpId, ExitPathId, ExitPathRef, Route, RouterId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -59,32 +59,16 @@ struct Held {
     learned_from: BgpId,
 }
 
+/// One router's state: its own exits, candidates, best, and what it
+/// advertises.
 #[derive(Debug, Clone)]
-pub(crate) struct NodeState {
+pub struct NodeState {
     my_exits: Vec<ExitPathRef>,
     possible: BTreeMap<ExitPathId, Held>,
     best: Option<ExitPathId>,
     /// Advertised routes with their provenance (the receiver-side filter
     /// needs it).
     advertised: Vec<Held>,
-}
-
-/// Canonical per-node state encoding used for dedup and cycle detection.
-pub type NodeKey = (
-    Vec<(ExitPathId, u8)>,
-    Option<ExitPathId>,
-    Vec<(ExitPathId, u8)>,
-);
-
-impl NodeState {
-    fn key(&self) -> NodeKey {
-        let enc = |h: &Held| (h.path.id(), h.provenance as u8);
-        (
-            self.possible.values().map(enc).collect(),
-            self.best,
-            self.advertised.iter().map(enc).collect(),
-        )
-    }
 }
 
 /// The pull engine over a hierarchy.
@@ -139,11 +123,6 @@ impl<'a> HierEngine<'a> {
     /// Best exit at a router.
     pub fn best_exit(&self, u: RouterId) -> Option<ExitPathId> {
         self.nodes[u.index()].best
-    }
-
-    /// All best exits.
-    pub fn best_vector(&self) -> Vec<Option<ExitPathId>> {
-        self.nodes.iter().map(|s| s.best).collect()
     }
 
     /// Steps applied.
@@ -245,81 +224,50 @@ impl<'a> HierEngine<'a> {
         }
     }
 
-    /// Recompute every router's state from the current (pre-step) global
-    /// state — one full synchronous sweep, indexed by router.
-    pub(crate) fn update_all(&self) -> Vec<NodeState> {
-        self.topo
-            .routers()
-            .map(|u| self.compute_update(u))
-            .collect()
-    }
-
-    /// Whether a full sweep's worth of updates changes nothing — i.e. the
-    /// current configuration is a fixed point.
-    pub(crate) fn is_fixed_point(&self, updates: &[NodeState]) -> bool {
-        updates
-            .iter()
-            .zip(&self.nodes)
-            .all(|(new, cur)| new.key() == cur.key())
-    }
-
-    /// Install the precomputed updates for the routers in `set` (one
-    /// activation step whose sweep was already computed).
-    pub(crate) fn apply(&mut self, set: &[RouterId], updates: &[NodeState]) {
-        for &u in set {
-            self.nodes[u.index()] = updates[u.index()].clone();
-        }
-        self.time += 1;
-    }
-
-    /// One activation step (members read the pre-step state). Returns
-    /// whether the pre-step configuration was already a fixed point.
-    pub fn step(&mut self, set: &[RouterId]) -> bool {
-        let updates = self.update_all();
-        let stable = self.is_fixed_point(&updates);
-        self.apply(set, &updates);
-        stable
-    }
-
-    /// Fixed-point check.
-    pub fn is_stable(&self) -> bool {
-        self.topo
-            .routers()
-            .all(|u| self.compute_update(u).key() == self.nodes[u.index()].key())
-    }
-
-    /// State key for search/cycle detection.
-    pub fn state_key(&self, phase: u64) -> (Vec<NodeKey>, u64) {
-        (self.nodes.iter().map(NodeState::key).collect(), phase)
-    }
-
     /// Round-robin run until verdict.
     pub fn run_round_robin(&mut self, max_steps: u64) -> SyncOutcome {
         Engine::run(self, &mut RoundRobin::new(), max_steps)
     }
 }
 
-impl Engine for HierEngine<'_> {
-    type Key = (Vec<NodeKey>, u64);
+impl SweepEngine for HierEngine<'_> {
+    type Node = NodeState;
 
-    fn router_count(&self) -> usize {
-        self.topo.len()
+    fn nodes(&self) -> &[NodeState] {
+        &self.nodes
     }
 
-    fn step(&mut self, set: &[RouterId]) -> bool {
-        HierEngine::step(self, set)
+    fn update_all(&self) -> Vec<NodeState> {
+        self.topo
+            .routers()
+            .map(|u| self.compute_update(u))
+            .collect()
     }
 
-    fn is_stable(&self) -> bool {
-        HierEngine::is_stable(self)
+    fn apply(&mut self, set: &[RouterId], updates: &[NodeState]) {
+        for &u in set {
+            self.nodes[u.index()] = updates[u.index()].clone();
+        }
+        self.time += 1;
     }
 
-    fn state_key(&self, phase: u64) -> Self::Key {
-        HierEngine::state_key(self, phase)
+    /// Canonical encoding for dedup and cycle detection: the candidates
+    /// and the advertisements as length-prefixed (id, provenance) lists
+    /// around the best id.
+    fn encode(node: &NodeState, out: &mut Vec<u32>) {
+        let held = |h: &Held| [h.path.id().raw(), h.provenance as u32];
+        out.push(node.possible.len() as u32);
+        out.extend(node.possible.values().flat_map(held));
+        match node.best {
+            Some(id) => out.extend([1, id.raw()]),
+            None => out.push(0),
+        }
+        out.push(node.advertised.len() as u32);
+        out.extend(node.advertised.iter().flat_map(held));
     }
 
-    fn best_vector(&self) -> Vec<Option<ExitPathId>> {
-        HierEngine::best_vector(self)
+    fn best(node: &NodeState) -> Option<ExitPathId> {
+        node.best
     }
 }
 

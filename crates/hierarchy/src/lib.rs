@@ -16,7 +16,8 @@
 //!   re-advertised to *all* sessions; routes learned from **non-clients**
 //!   are re-advertised only *down*, to clients. A route is never offered
 //!   to its own exit point.
-//! * [`search`] — exhaustive reachability, as in `ibgp-analysis`.
+//! * [`search`] — exhaustive reachability on `ibgp-analysis`'s explorer
+//!   (the engine is an `ibgp_sim::SweepEngine`).
 //! * [`scenarios`] — the Fig 1(a) oscillator pushed one level deeper
 //!   (the oscillating client hangs under a second-level reflector):
 //!   persistent under single-best advertisement at every depth, fixed by
@@ -38,5 +39,5 @@ pub mod topology;
 pub use engine::{HierEngine, HierMode};
 pub use ibgp_sim::{Engine, SyncOutcome};
 pub use random::{random_hierarchy, RandomHierConfig};
-pub use search::{explore_hier, HierReachability};
+pub use search::explore_hier;
 pub use topology::{ClusterSpec, HierTopology, Member, SessionKind};

@@ -1,134 +1,25 @@
-//! Exhaustive reachability for the hierarchy engine.
+//! Exhaustive reachability for the hierarchy engine: the shared
+//! level-synchronous explorer of `ibgp-analysis`, driven through the
+//! engine's one-sweep shape.
 
 use crate::engine::{HierEngine, HierMode};
 use crate::topology::HierTopology;
-use ibgp_types::{ExitPathId, ExitPathRef, RouterId, SearchBudget, StopReason};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
-
-/// Result of a bounded exploration.
-#[derive(Debug, Clone)]
-pub struct HierReachability {
-    /// Distinct configurations visited.
-    pub states: usize,
-    /// Whether the reachable space fit under the budget.
-    pub complete: bool,
-    /// Why the search ended. Always from the search itself — consumers
-    /// must not infer a stop reason from `complete` alone.
-    pub stop: StopReason,
-    /// Distinct stable best-exit vectors.
-    pub stable_vectors: Vec<Vec<Option<ExitPathId>>>,
-}
-
-impl HierReachability {
-    /// Whether a stable configuration is reachable.
-    pub fn can_converge(&self) -> bool {
-        !self.stable_vectors.is_empty()
-    }
-
-    /// Whether persistent oscillation is proven.
-    pub fn persistent_oscillation(&self) -> bool {
-        self.complete && self.stable_vectors.is_empty()
-    }
-
-    /// The state cap that stopped the search, when one did.
-    #[deprecated(note = "read the `stop` field (`StopReason`) instead")]
-    pub fn cap(&self) -> Option<usize> {
-        self.stop.state_cap()
-    }
-}
-
-fn digest<T: Hash>(t: &T) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    t.hash(&mut h);
-    h.finish()
-}
+use ibgp_analysis::{explore_sweep, ExploreOptions, Reachability};
+use ibgp_types::ExitPathRef;
 
 /// Explore all configurations reachable under singleton + full-set
 /// activations.
 ///
-/// The budget honors `max_states` and `deadline` (checked between state
-/// expansions, so an already-expired deadline stops deterministically at
-/// the initial state); this search has no visited-set byte accounting,
-/// so `max_bytes` is ignored and callers warn about the dropped flag.
-/// A bare `usize` converts to a states-only budget.
+/// The options' state cap, byte budget, deadline, and worker count all
+/// apply (see [`explore_sweep`]). A bare `usize` is a state cap explored
+/// in-thread.
 pub fn explore_hier(
     topo: &HierTopology,
     mode: HierMode,
     exits: Vec<ExitPathRef>,
-    budget: impl Into<SearchBudget>,
-) -> HierReachability {
-    let budget: SearchBudget = budget.into();
-    let max_states = budget.max_states;
-    let engine0 = HierEngine::new(topo, mode, exits);
-    let n = topo.len();
-    let mut branches: Vec<Vec<RouterId>> = (0..n as u32).map(|i| vec![RouterId::new(i)]).collect();
-    branches.push((0..n as u32).map(RouterId::new).collect());
-
-    let mut visited: HashMap<u64, Vec<Vec<_>>> = HashMap::new();
-    let mut queue: VecDeque<HierEngine> = VecDeque::new();
-    let mut stable_vectors = Vec::new();
-    let mut states = 0usize;
-
-    let mut try_visit = |eng: &HierEngine| -> bool {
-        let (key, _) = eng.state_key(0);
-        let d = digest(&key);
-        let bucket = visited.entry(d).or_default();
-        if bucket.contains(&key) {
-            false
-        } else {
-            bucket.push(key);
-            true
-        }
-    };
-
-    if try_visit(&engine0) {
-        states += 1;
-        queue.push_back(engine0);
-    }
-    while let Some(eng) = queue.pop_front() {
-        if budget.expired() {
-            return HierReachability {
-                states,
-                complete: false,
-                stop: StopReason::Deadline,
-                stable_vectors,
-            };
-        }
-        // One synchronous sweep serves both the stability test and every
-        // branch: `step` on a clone would recompute the same n updates
-        // per branch.
-        let updates = eng.update_all();
-        if eng.is_fixed_point(&updates) {
-            let bv = eng.best_vector();
-            if !stable_vectors.contains(&bv) {
-                stable_vectors.push(bv);
-            }
-            continue;
-        }
-        for branch in &branches {
-            let mut next = eng.clone();
-            next.apply(branch, &updates);
-            if try_visit(&next) {
-                states += 1;
-                if states > max_states {
-                    return HierReachability {
-                        states,
-                        complete: false,
-                        stop: StopReason::StateCap(max_states),
-                        stable_vectors,
-                    };
-                }
-                queue.push_back(next);
-            }
-        }
-    }
-    HierReachability {
-        states,
-        complete: true,
-        stop: StopReason::Complete,
-        stable_vectors,
-    }
+    options: impl Into<ExploreOptions>,
+) -> Reachability {
+    explore_sweep(HierEngine::new(topo, mode, exits), options.into())
 }
 
 #[cfg(test)]
@@ -136,7 +27,7 @@ mod tests {
     use super::*;
     use crate::topology::ClusterSpec;
     use ibgp_topology::PhysicalGraph;
-    use ibgp_types::{AsId, ExitPath, IgpCost, Med};
+    use ibgp_types::{AsId, ExitPath, ExitPathId, IgpCost, Med, RouterId, StopReason};
     use std::sync::Arc;
 
     #[test]
@@ -161,13 +52,10 @@ mod tests {
         );
         assert_eq!(reach.stable_vectors.len(), 1);
         assert!(!reach.persistent_oscillation());
-        #[allow(deprecated)]
-        let shim = reach.cap();
-        assert_eq!(shim, None, "the deprecated accessor keeps working");
 
         // An already-expired deadline stops before any expansion.
-        let budget = SearchBudget::states(10_000).deadline(std::time::Instant::now());
-        let reach = explore_hier(&topo, HierMode::SingleBest, vec![exit], budget);
+        let options = ExploreOptions::new().deadline(std::time::Instant::now());
+        let reach = explore_hier(&topo, HierMode::SingleBest, vec![exit], options);
         assert!(!reach.complete);
         assert_eq!(reach.stop, StopReason::Deadline);
         assert_eq!(reach.states, 1, "only the initial state was visited");

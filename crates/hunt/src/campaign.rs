@@ -99,8 +99,8 @@ pub struct CampaignReport {
     pub duplicates: usize,
     /// Per-family tallies, in configured family order.
     pub yields: Vec<FamilyYield>,
-    /// Aggregated search metrics (flat-reflection explorations only; the
-    /// confed/hierarchy searches are uninstrumented).
+    /// Aggregated search metrics over every family's explorations
+    /// (solver-answered verdicts carry none).
     pub metrics: Metrics,
     /// Wall-clock time the campaign took (not persisted anywhere).
     pub elapsed: Duration,

@@ -58,14 +58,6 @@ impl Family {
         }
     }
 
-    /// Whether this family generates flat-reflection specs, classified
-    /// by the instrumented reflection search. Hierarchy and confed
-    /// families go through their dedicated searches, which ignore the
-    /// reflection-only knobs ([`crate::HuntOptions::reflection_only_flags`]).
-    pub fn uses_reflection_search(&self) -> bool {
-        !matches!(self, Family::Hierarchy | Family::Confed)
-    }
-
     /// Parse a comma-separated family list (e.g. `reflection,confed`).
     pub fn parse_list(s: &str) -> Result<Vec<Family>, String> {
         s.split(',')

@@ -112,7 +112,11 @@ pub struct HierSpec {
     pub mode: HierMode,
 }
 
-/// The session-graph kind of a scenario.
+/// The session-graph kind of a scenario. The kind picks the engine; every
+/// kind is explored by the same search, under the same budgets and worker
+/// count, and reports the same metrics. Only reflection specs get the
+/// live-cycle probe, symmetry and partial-order reduction, the SAT
+/// backend, and loop prevention; the other kinds decline them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecKind {
     /// Flat route reflection (or full mesh).
@@ -163,7 +167,7 @@ pub enum Built {
         /// The exit paths.
         exits: Vec<ExitPathRef>,
     },
-    /// Confederation: classified through `ibgp_confed::explore_confed`.
+    /// Confederation: explored through `ibgp_confed::explore_confed`.
     Confed {
         /// The validated confederation.
         topology: ConfedTopology,
@@ -172,7 +176,7 @@ pub enum Built {
         /// The exit paths.
         exits: Vec<ExitPathRef>,
     },
-    /// Hierarchy: classified through `ibgp_hierarchy::explore_hier`.
+    /// Hierarchy: explored through `ibgp_hierarchy::explore_hier`.
     Hierarchy {
         /// The validated cluster tree.
         topology: HierTopology,

@@ -1,37 +1,45 @@
 //! One classification path for every scenario kind.
 //!
 //! [`classify_spec`] lowers a [`ScenarioSpec`] and classifies it with the
-//! engine matching its kind: flat reflection specs go through the unified
-//! `ibgp_analysis::classify` / `explore(..., ExploreOptions)` pipeline
-//! (cap, worker pool, metrics, all-at-once cycle probe); confederation and
-//! hierarchy specs go through their dedicated exhaustive searches, with
-//! the same verdict taxonomy derived from the search evidence. The CLI's
+//! engine matching its kind. All three kinds run on the one
+//! level-synchronous explorer of `ibgp-analysis`, under the same options
+//! and with the same `Metrics`: flat reflection specs through
+//! `ibgp_analysis::classify` (which adds the all-at-once live-cycle
+//! probe), confederation and hierarchy specs through `explore_confed` /
+//! `explore_hier`, classified from the search evidence alone. The CLI's
 //! `classify`, `run`, the campaign driver, and the minimizer all consume
 //! the resulting [`Verdict`], so the "inconclusive: cap hit" reasoning
 //! lives in exactly one place.
 
 use crate::spec::{Built, ScenarioSpec, SpecError, SpecKind};
-use ibgp_analysis::{ExploreOptions, OscillationClass};
+use ibgp_analysis::{ExploreOptions, OscillationClass, Reachability};
 use ibgp_confed::explore_confed;
 use ibgp_hierarchy::explore_hier;
 use ibgp_sim::Metrics;
-use ibgp_types::{ExitPathId, SearchBudget, SolverMode, StopReason, VerdictOrigin};
+use ibgp_types::{ExitPathId, SolverMode, StopReason, VerdictOrigin};
 use std::time::Instant;
 
 /// Search knobs shared by every hunt entry point.
+///
+/// Every scenario kind runs on the same explorer, so `max_states`,
+/// `max_bytes`, `deadline`, and `jobs` apply to all of them. The rest
+/// are declined where they have no meaning, and the verdict shows it:
+/// confederation and hierarchy searches report symmetry group order 0
+/// and no ample expansions, a `Sat` solver request on them (or on a
+/// non-standard variant) comes back with `origin = search`, and loop
+/// prevention and the state encoding only exist for reflection specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HuntOptions {
     /// State cap per exploration.
     pub max_states: usize,
-    /// Worker threads for the reflection search (`0`, the default, means
-    /// one per hardware thread, sanely capped; confed/hierarchy searches
-    /// are single-threaded).
+    /// Worker threads for the search (`0`, the default, means one per
+    /// hardware thread, sanely capped). Verdicts are identical at every
+    /// value.
     pub jobs: usize,
-    /// Collapse automorphism orbits in the flat-reflection search
-    /// (confed/hierarchy searches are uninstrumented and ignore this).
+    /// Collapse automorphism orbits in the reflection search
+    /// (confed/hierarchy searches decline it: group order 0).
     pub symmetry: bool,
-    /// Visited-set byte budget for the reflection search; `None` for
-    /// unbounded.
+    /// Visited-set byte budget; `None` for unbounded.
     pub max_bytes: Option<usize>,
     /// Use the flat fixed-width state encoding (default) or the legacy
     /// `StateKey` path in the reflection search. Verdicts are identical
@@ -41,12 +49,12 @@ pub struct HuntOptions {
     pub flat: bool,
     /// Prune each frontier state's branches to the invisible compound
     /// ample step in the reflection search (exact partial-order
-    /// reduction; confed/hierarchy searches ignore this). Verdicts are
-    /// unchanged — only the number of states visited shrinks.
+    /// reduction; confed/hierarchy searches decline it: no ample
+    /// expansions). Verdicts are unchanged — only the number of states
+    /// visited shrinks.
     pub por: bool,
     /// Absolute wall-clock deadline for the search; `None` (the default)
-    /// for no deadline. Every search kind honors it, checked at
-    /// deterministic points (BFS level boundaries / between expansions).
+    /// for no deadline, checked at BFS level boundaries.
     pub deadline: Option<Instant>,
     /// Classification backend: reachability search (default) or the
     /// `ibgp-solver` constraint encoding (`Sat`), which enumerates *all*
@@ -59,7 +67,7 @@ pub struct HuntOptions {
     /// drop, SSLD, the reflect-to-whom matrix) instead of the paper's
     /// `Transfer` predicate. Forces the legacy state encoding and turns
     /// symmetry/POR off; the solver declines and falls back to search.
-    /// Confed/hierarchy searches ignore it.
+    /// Confed/hierarchy specs have no reflection sessions to stamp.
     pub loop_prevention: bool,
 }
 
@@ -99,20 +107,6 @@ impl From<&HuntOptions> for ExploreOptions {
             opts = opts.deadline(d);
         }
         opts
-    }
-}
-
-/// The budget view of the same knobs, for the confed/hierarchy searches
-/// (which honor `max_states` and `deadline`; they have no byte
-/// accounting, so `max_bytes` is carried but ignored — callers warn via
-/// [`HuntOptions::reflection_only_flags`]).
-impl From<&HuntOptions> for SearchBudget {
-    fn from(o: &HuntOptions) -> SearchBudget {
-        SearchBudget {
-            max_states: o.max_states,
-            max_bytes: o.max_bytes,
-            deadline: o.deadline,
-        }
     }
 }
 
@@ -175,37 +169,6 @@ impl HuntOptions {
         self.loop_prevention = loop_prevention;
         self
     }
-
-    /// The knobs only the instrumented flat-reflection search honors,
-    /// listed by their command-line spelling when set to a non-default
-    /// value. The dedicated confed/hierarchy searches ignore every one
-    /// of these; callers routing a spec to those searches should warn
-    /// per entry instead of silently dropping the flag.
-    pub fn reflection_only_flags(&self) -> Vec<&'static str> {
-        let mut set = Vec::new();
-        if self.jobs != 0 {
-            set.push("--jobs");
-        }
-        if self.symmetry {
-            set.push("--symmetry");
-        }
-        if self.por {
-            set.push("--por");
-        }
-        if self.max_bytes.is_some() {
-            set.push("--max-bytes");
-        }
-        if !self.flat {
-            set.push("the legacy state encoding");
-        }
-        if self.solver == SolverMode::Sat {
-            set.push("--solver sat");
-        }
-        if self.loop_prevention {
-            set.push("--loop-prevention");
-        }
-        set
-    }
 }
 
 /// The outcome of classifying one scenario.
@@ -222,9 +185,9 @@ pub struct Verdict {
     pub stop: StopReason,
     /// Distinct stable best-exit vectors, canonical order.
     pub stable_vectors: Vec<Vec<Option<ExitPathId>>>,
-    /// Search metrics — available on the flat-reflection path only (the
-    /// confed/hierarchy searches do not instrument themselves, and the
-    /// solver backend has no search to instrument).
+    /// Search metrics, for every scenario kind. `None` when no search
+    /// ran (the solver backend) and on verdicts read back from a store
+    /// or the wire.
     pub metrics: Option<Metrics>,
     /// Which backend produced the evidence. `Search` verdicts count
     /// *reachable* states and reachable stable vectors; `Solver`
@@ -239,6 +202,24 @@ pub struct Verdict {
 }
 
 impl Verdict {
+    /// Lower an explorer result and its class to a verdict — the one
+    /// lowering for every scenario kind and backend.
+    pub fn new(class: OscillationClass, reach: Reachability) -> Verdict {
+        let solved = reach.origin == VerdictOrigin::Solver;
+        Verdict {
+            class,
+            states: reach.states,
+            complete: reach.complete,
+            stop: reach.stop,
+            stable_count: (solved && reach.complete).then_some(reach.stable_vectors.len()),
+            stable_vectors: reach.stable_vectors,
+            // The solver's Metrics carry only wall-clock; rendering
+            // them as search throughput would be nonsense.
+            metrics: (!solved).then_some(reach.metrics),
+            origin: reach.origin,
+        }
+    }
+
     /// Whether this verdict is an oscillation-corpus keeper
     /// (proven persistent oscillation).
     pub fn is_oscillating(&self) -> bool {
@@ -254,18 +235,6 @@ impl Verdict {
     /// Whether the search gave no verdict (budget or deadline hit).
     pub fn is_inconclusive(&self) -> bool {
         self.class == OscillationClass::Unknown
-    }
-
-    /// The state cap that stopped the search, when one did.
-    #[deprecated(note = "read the `stop` field (`StopReason`) instead")]
-    pub fn cap(&self) -> Option<usize> {
-        self.stop.state_cap()
-    }
-
-    /// The byte budget that stopped the search, when one did.
-    #[deprecated(note = "read the `stop` field (`StopReason`) instead")]
-    pub fn memory(&self) -> Option<usize> {
-        self.stop.memory_budget()
     }
 
     /// The one-line "inconclusive: ..." hint for this verdict, `None`
@@ -357,40 +326,6 @@ impl Verdict {
     }
 }
 
-/// Derive the verdict taxonomy from plain search evidence (the
-/// confed/hierarchy searches, which have no all-at-once cycle probe — for
-/// them a unique stable outcome classifies as stable without the extra
-/// live-cycle check the flat path performs). The stop reason comes from
-/// the search itself, never inferred from `!complete`: an incomplete
-/// search that stopped for some other reason must not be reported as
-/// cap-stopped.
-fn from_search(
-    states: usize,
-    complete: bool,
-    stable_vectors: Vec<Vec<Option<ExitPathId>>>,
-    stop: StopReason,
-) -> Verdict {
-    let class = if !complete {
-        OscillationClass::Unknown
-    } else if stable_vectors.is_empty() {
-        OscillationClass::Persistent
-    } else if stable_vectors.len() > 1 {
-        OscillationClass::Transient
-    } else {
-        OscillationClass::Stable
-    };
-    Verdict {
-        class,
-        states,
-        complete,
-        stop,
-        stable_vectors,
-        metrics: None,
-        origin: VerdictOrigin::Search,
-        stable_count: None,
-    }
-}
-
 /// Classify a scenario spec: validate, lower, and run the exhaustive
 /// search matching its kind.
 ///
@@ -398,7 +333,10 @@ fn from_search(
 /// campaign driver, the minimizer, the serve scheduler, and the facade's
 /// `ibgp::classify` all route through it.
 pub fn classify_spec(spec: &ScenarioSpec, opts: &HuntOptions) -> Result<Verdict, SpecError> {
-    match spec.build()? {
+    let explore = ExploreOptions::from(opts);
+    let evidence =
+        |reach: Reachability| Verdict::new(OscillationClass::from_evidence(&reach), reach);
+    Ok(match spec.build()? {
         Built::Reflection {
             topology,
             config,
@@ -406,45 +344,23 @@ pub fn classify_spec(spec: &ScenarioSpec, opts: &HuntOptions) -> Result<Verdict,
         } => {
             // Loop prevention can come from the spec (a `loop-prevention`
             // directive) or the hunt knobs; either source turns it on.
-            let mut explore: ExploreOptions = opts.into();
-            if let SpecKind::Reflection(r) = &spec.kind {
-                if r.loop_prevention {
-                    explore = explore.loop_prevention(true);
-                }
-            }
+            let lp = opts.loop_prevention
+                || matches!(&spec.kind, SpecKind::Reflection(r) if r.loop_prevention);
+            let explore = explore.loop_prevention(lp);
             let (class, reach) = ibgp_analysis::classify(&topology, config, &exits, explore);
-            let solved = reach.origin == VerdictOrigin::Solver;
-            let stable_count = (solved && reach.complete).then_some(reach.stable_vectors.len());
-            Ok(Verdict {
-                class,
-                states: reach.states,
-                complete: reach.complete,
-                stop: reach.stop,
-                stable_vectors: reach.stable_vectors,
-                // The solver's Metrics carry only wall-clock; rendering
-                // them as search throughput would be nonsense.
-                metrics: (!solved).then_some(reach.metrics),
-                origin: reach.origin,
-                stable_count,
-            })
+            Verdict::new(class, reach)
         }
         Built::Confed {
             topology,
             mode,
             exits,
-        } => {
-            let r = explore_confed(&topology, mode, exits, SearchBudget::from(opts));
-            Ok(from_search(r.states, r.complete, r.stable_vectors, r.stop))
-        }
+        } => evidence(explore_confed(&topology, mode, exits, explore)),
         Built::Hierarchy {
             topology,
             mode,
             exits,
-        } => {
-            let r = explore_hier(&topology, mode, exits, SearchBudget::from(opts));
-            Ok(from_search(r.states, r.complete, r.stable_vectors, r.stop))
-        }
-    }
+        } => evidence(explore_hier(&topology, mode, exits, explore)),
+    })
 }
 
 #[cfg(test)]
@@ -491,9 +407,6 @@ mod tests {
         let v = classify_spec(&disagree(ProtocolVariant::Standard), &opts).unwrap();
         assert!(v.is_inconclusive());
         assert_eq!(v.stop, StopReason::StateCap(2));
-        #[allow(deprecated)]
-        let shim = v.cap();
-        assert_eq!(shim, Some(2), "the deprecated accessor keeps working");
         assert!(!v.complete);
     }
 
@@ -513,7 +426,9 @@ mod tests {
         let v = classify_spec(&spec, &HuntOptions::default()).unwrap();
         assert_eq!(v.class, OscillationClass::Stable);
         assert!(v.complete);
-        assert!(v.metrics.is_none());
+        let m = v.metrics.expect("confed searches report metrics");
+        assert_eq!(m.states_visited as usize, v.states);
+        assert_eq!(m.group_order, 0, "no symmetry was requested");
     }
 
     #[test]
@@ -543,44 +458,24 @@ mod tests {
         );
     }
 
-    #[test]
-    fn reflection_only_flags_lists_each_dropped_knob() {
-        assert!(HuntOptions::default().reflection_only_flags().is_empty());
-        let opts = HuntOptions {
-            jobs: 4,
-            symmetry: true,
-            por: true,
-            max_bytes: Some(1 << 20),
-            flat: false,
-            solver: SolverMode::Sat,
-            loop_prevention: true,
-            ..HuntOptions::default()
-        };
-        assert_eq!(
-            opts.reflection_only_flags(),
-            vec![
-                "--jobs",
-                "--symmetry",
-                "--por",
-                "--max-bytes",
-                "the legacy state encoding",
-                "--solver sat",
-                "--loop-prevention",
-            ]
-        );
-        // One flag alone is reported alone.
-        let opts = HuntOptions {
-            symmetry: true,
-            ..HuntOptions::default()
-        };
-        assert_eq!(opts.reflection_only_flags(), vec!["--symmetry"]);
+    /// A truncated search with no reachable stable vector.
+    fn truncated(stop: StopReason) -> Reachability {
+        Reachability {
+            states: 10,
+            complete: false,
+            stable_vectors: vec![],
+            stop,
+            metrics: Metrics::default(),
+            origin: VerdictOrigin::Search,
+        }
     }
 
     #[test]
-    fn from_search_never_fabricates_a_cap() {
+    fn verdicts_never_fabricate_a_cap() {
         // An incomplete search that stopped for some reason other than
         // the state cap (deadline here) must not be printed as capped.
-        let v = from_search(10, false, vec![], StopReason::Deadline);
+        let reach = truncated(StopReason::Deadline);
+        let v = Verdict::new(OscillationClass::from_evidence(&reach), reach);
         assert!(v.is_inconclusive());
         assert_eq!(v.stop, StopReason::Deadline);
         assert_eq!(
@@ -588,14 +483,22 @@ mod tests {
             "inconclusive: deadline exceeded (raise the deadline)"
         );
         // And a complete search carries no stop hint at all.
-        let v = from_search(10, true, vec![vec![None]], StopReason::Complete);
+        let reach = Reachability {
+            complete: true,
+            stable_vectors: vec![vec![None]],
+            ..truncated(StopReason::Complete)
+        };
+        let v = Verdict::new(OscillationClass::from_evidence(&reach), reach);
         assert_eq!(v.class, OscillationClass::Stable);
         assert_eq!(v.stop_hint(), None);
     }
 
     #[test]
     fn render_is_the_single_wording_source() {
-        let v = from_search(10, false, vec![], StopReason::StateCap(10));
+        let v = Verdict::new(
+            OscillationClass::Unknown,
+            truncated(StopReason::StateCap(10)),
+        );
         let text = v.render("x");
         assert!(text.starts_with("x: unknown (inconclusive search)\n"));
         assert!(text.contains("  inconclusive: state cap 10 reached (raise --max-states)\n"));
@@ -629,21 +532,20 @@ mod tests {
     #[test]
     fn option_conversions_carry_every_knob() {
         let opts = HuntOptions::new()
-            .max_states(77)
+            .max_states(77_000)
             .jobs(3)
             .symmetry(true)
-            .max_bytes(1 << 20)
             .por(true)
             .solver(SolverMode::Search)
             .deadline(Instant::now() + std::time::Duration::from_secs(3600));
-        let budget = SearchBudget::from(&opts);
-        assert_eq!(budget.max_states, 77);
-        assert_eq!(budget.max_bytes, Some(1 << 20));
-        assert!(budget.deadline.is_some());
-        // The ExploreOptions conversion compiles and feeds classify; an
-        // hour-away deadline must not stop a tiny search.
+        // An hour-away deadline must not stop a tiny search, and the
+        // worker count reaches the explorer.
         let v = classify_spec(&disagree(ProtocolVariant::Standard), &opts).unwrap();
         assert_ne!(v.stop, StopReason::Deadline);
+        assert_eq!(v.metrics.unwrap().workers, 3);
+        // The byte budget reaches every kind's search.
+        let v = classify_spec(&disagree(ProtocolVariant::Standard), &opts.max_bytes(1)).unwrap();
+        assert_eq!(v.stop, StopReason::MemoryBudget(1));
     }
 
     /// Loop prevention reaches the engine from either source (the spec
@@ -653,8 +555,11 @@ mod tests {
     fn loop_prevention_classifies_and_overrides_the_solver() {
         // Per-cluster singleton reflectors with no redundancy: verdicts
         // match the Transfer-predicate path on this spec.
-        let base = classify_spec(&disagree(ProtocolVariant::Standard), &HuntOptions::default())
-            .unwrap();
+        let base = classify_spec(
+            &disagree(ProtocolVariant::Standard),
+            &HuntOptions::default(),
+        )
+        .unwrap();
         let opts = HuntOptions::new().loop_prevention(true);
         let v = classify_spec(&disagree(ProtocolVariant::Standard), &opts).unwrap();
         assert_eq!(v.class, base.class);

@@ -9,8 +9,8 @@
 //! search evidence — the same set of stable best-exit vectors and the
 //! same persistence/convergence conclusion.
 //!
-//! The one pinned taxonomy difference (see `from_search` in
-//! `crates/hunt/src/verdict.rs` and README "Scenario kinds"): the flat
+//! The one pinned taxonomy difference (see `OscillationClass::from_evidence`
+//! in `crates/analysis/src/oscillation.rs` and README "Scenario kinds"): the flat
 //! reflection path follows a unique-stable-vector search with an
 //! all-at-once live-cycle probe and reports *transient* when the probe
 //! finds a reachable live cycle, while the confed/hierarchy searches

@@ -36,7 +36,7 @@ use ibgp_hunt::Verdict;
 use ibgp_types::{ExitPathId, SolverMode, StopReason, VerdictOrigin};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// The budget a stored search ran under — the persistable subset of
@@ -134,28 +134,48 @@ impl VerdictStore {
     }
 
     /// Open (or create) a store backed by the log at `path`, replaying
-    /// any existing entries.
+    /// any existing entries. A malformed line fails the open, except a
+    /// torn final line left by a crash mid-append: that one is truncated
+    /// away with a warning.
     pub fn open(path: &Path) -> io::Result<Self> {
         let mut entries = HashMap::new();
-        if path.exists() {
-            let reader = BufReader::new(File::open(path)?);
-            for (ln, line) in reader.lines().enumerate() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let (sig, entry) = parse_line(&line).ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "{}:{}: malformed verdict-store line",
-                            path.display(),
-                            ln + 1
-                        ),
-                    )
-                })?;
-                apply(&mut entries, sig, entry);
+        let bytes = if path.exists() {
+            std::fs::read(path)?
+        } else {
+            Vec::new()
+        };
+        // Every insert appends its whole line, newline included, in one
+        // fsynced write, so an unterminated final line is a torn append.
+        // Even when it parses (a vector list or the `solver` tag cut
+        // short) it is not the verdict that was written: drop it.
+        let intact = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if intact < bytes.len() {
+            eprintln!(
+                "warning: {}: truncating a torn final line ({} bytes) left by an interrupted append",
+                path.display(),
+                bytes.len() - intact
+            );
+            OpenOptions::new()
+                .write(true)
+                .open(path)?
+                .set_len(intact as u64)?;
+        }
+        for (ln, line) in bytes[..intact].split(|&b| b == b'\n').enumerate() {
+            let line = std::str::from_utf8(line).ok();
+            if line.is_some_and(|l| l.trim().is_empty()) {
+                continue;
             }
+            let (sig, entry) = line.and_then(parse_line).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{}:{}: malformed verdict-store line",
+                        path.display(),
+                        ln + 1
+                    ),
+                )
+            })?;
+            apply(&mut entries, sig, entry);
         }
         let log = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(Self {

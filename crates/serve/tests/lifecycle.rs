@@ -128,3 +128,57 @@ fn tcp_round_trip_reports_miss_then_hit() {
     assert_eq!(sched.searches_run(), 1);
     assert_eq!(sched.cache_hits(), 1);
 }
+
+#[test]
+fn torn_final_line_is_truncated_and_the_store_keeps_serving() {
+    let path = temp_log("torn");
+    {
+        let sched = Scheduler::new(VerdictStore::open(&path).unwrap(), 1);
+        sched
+            .submit(spec(), request(10_000))
+            .wait()
+            .expect("classifies");
+    }
+    // A crash mid-append: half of the next entry, no newline.
+    let intact = std::fs::read_to_string(&path).unwrap();
+    let torn = &intact[..intact.len() / 2];
+    std::fs::write(&path, format!("{intact}{torn}")).unwrap();
+
+    let other = ibgp_hunt::generate_spec(ibgp_hunt::Family::Confed, 7, 0);
+    {
+        let sched = Scheduler::new(VerdictStore::open(&path).expect("torn tail is dropped"), 1);
+        assert_eq!(sched.with_store(|s| s.len()), 1);
+        let again = sched
+            .submit(spec(), request(10_000))
+            .wait()
+            .expect("classifies");
+        assert!(again.cached, "the earlier entry still answers");
+        let fresh = sched
+            .submit(other.clone(), request(10_000))
+            .wait()
+            .expect("classifies");
+        assert!(!fresh.cached);
+        assert_eq!(sched.searches_run(), 1);
+    }
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap().lines().count(),
+        2,
+        "the next insert starts on a line of its own"
+    );
+
+    // The insert after the truncation survives another restart.
+    let sched = Scheduler::new(VerdictStore::open(&path).unwrap(), 1);
+    assert_eq!(sched.with_store(|s| s.len()), 2);
+    for s in [spec(), other] {
+        let answer = sched.submit(s, request(10_000)).wait().expect("classifies");
+        assert!(answer.cached);
+    }
+    assert_eq!(sched.searches_run(), 0);
+
+    // A malformed line with more lines after it is not a torn append:
+    // the open still fails.
+    let good = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, format!("{torn}\n{good}")).unwrap();
+    assert!(VerdictStore::open(&path).is_err());
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}

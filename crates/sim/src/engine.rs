@@ -16,6 +16,11 @@
 //! engine previously re-implemented by hand. Cycle detection follows the
 //! [`Activation::phase`] contract: phases are used as-is and must already
 //! be normalized to the schedule's period.
+//!
+//! The confederation and hierarchy engines share one more shape, the
+//! [`SweepEngine`]: a step is one synchronous sweep of per-router
+//! updates, of which the activated routers' results are installed. Such
+//! an engine implements only the sweep and gets [`Engine`] from it.
 
 use crate::activation::Activation;
 use crate::sync::SyncOutcome;
@@ -95,5 +100,71 @@ pub trait Engine {
         } else {
             SyncOutcome::Budget { steps: max_steps }
         }
+    }
+}
+
+/// An engine whose step is one synchronous sweep: every router's next
+/// state is computed from the pre-step configuration
+/// ([`Self::update_all`]), and an activation installs the results of the
+/// activated routers ([`Self::apply`]). One sweep therefore serves the
+/// fixed-point test and every activation set at once, which is what lets
+/// the reachability explorer key each branch successor without stepping
+/// a copy of the engine per branch.
+pub trait SweepEngine: Clone {
+    /// One router's state.
+    type Node;
+
+    /// Every router's current state, indexed by router.
+    fn nodes(&self) -> &[Self::Node];
+
+    /// One full synchronous sweep: every router's recomputed state, read
+    /// from the current configuration, indexed by router.
+    fn update_all(&self) -> Vec<Self::Node>;
+
+    /// Install the sweep's results for the routers in `set`.
+    fn apply(&mut self, set: &[RouterId], updates: &[Self::Node]);
+
+    /// Append one router's canonical state encoding to `out`. The
+    /// encoding must be injective and self-delimiting, so that the
+    /// per-router encodings laid end to end identify a configuration.
+    fn encode(node: &Self::Node, out: &mut Vec<u32>);
+
+    /// The router's best exit in this state.
+    fn best(node: &Self::Node) -> Option<ExitPathId>;
+}
+
+/// The per-router encodings of `nodes`, laid end to end.
+fn encode_all<E: SweepEngine>(nodes: &[E::Node]) -> Vec<u32> {
+    let mut words = Vec::new();
+    for node in nodes {
+        E::encode(node, &mut words);
+    }
+    words
+}
+
+impl<E: SweepEngine> Engine for E {
+    type Key = (Vec<u32>, u64);
+
+    fn router_count(&self) -> usize {
+        self.nodes().len()
+    }
+
+    fn step(&mut self, set: &[RouterId]) -> bool {
+        let updates = self.update_all();
+        let stable = encode_all::<E>(&updates) == encode_all::<E>(self.nodes());
+        self.apply(set, &updates);
+        stable
+    }
+
+    fn is_stable(&self) -> bool {
+        encode_all::<E>(&self.update_all()) == encode_all::<E>(self.nodes())
+    }
+
+    fn state_key(&self, phase: u64) -> Self::Key {
+        (encode_all::<E>(self.nodes()), phase)
+    }
+
+    fn best_vector(&self) -> Vec<Option<ExitPathId>> {
+        self.nodes().iter().map(E::best).collect()
     }
 }

@@ -36,7 +36,7 @@ pub use async_engine::{
     best_history, AdaptivePolicy, AsyncEvent, AsyncOutcome, AsyncSim, DelayModel, FixedDelay,
     FnDelay, SeededJitter, TraceEvent,
 };
-pub use engine::Engine;
+pub use engine::{Engine, SweepEngine};
 pub use flat::{FlatKey, StateCodec};
 pub use metrics::Metrics;
 pub use multi::{aggregate, MultiPrefixSim, PrefixResult};

@@ -86,8 +86,7 @@ pub struct StableReport {
 
 /// Enumerate every stable configuration of the standard protocol by
 /// encoding the fixed-point condition and running the all-solutions
-/// DPLL, within `budget` (`max_states` caps branching decisions;
-/// `max_bytes` does not apply to the solver and is ignored).
+/// DPLL, within `budget` (`max_states` caps branching decisions).
 pub fn enumerate_stable(
     topo: &Topology,
     policy: SelectionPolicy,

@@ -8,9 +8,10 @@
 //! collapses them into one enum so a search has exactly one stop reason
 //! and new reasons (deadlines) extend every consumer at once.
 //!
-//! [`SearchBudget`] is the matching request-side bundle: the state cap,
-//! the optional visited-set byte budget, and the optional wall-clock
-//! deadline a caller grants one search.
+//! [`SearchBudget`] is the matching request-side bundle for the
+//! constraint solver: the state (decision) cap and the optional
+//! wall-clock deadline a caller grants one enumeration. The explorer
+//! takes the same limits, plus a byte budget, through its own options.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -118,17 +119,10 @@ impl fmt::Display for StopReason {
 }
 
 /// The resource budget one search request is granted.
-///
-/// Bundles the knobs every search honors (`max_states`, `deadline`) with
-/// the one only the instrumented flat-reflection search implements
-/// (`max_bytes`); searches without a byte-budget mechanism ignore that
-/// field, and their callers warn about the dropped flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchBudget {
     /// Cap on distinct configurations visited.
     pub max_states: usize,
-    /// Visited-set byte budget; `None` for unbounded.
-    pub max_bytes: Option<usize>,
     /// Absolute wall-clock deadline; `None` for no deadline. Checked
     /// between expansions, so a deadline already in the past stops a
     /// search deterministically after visiting only the initial state.
@@ -136,19 +130,12 @@ pub struct SearchBudget {
 }
 
 impl SearchBudget {
-    /// An unbounded-memory, no-deadline budget with the given state cap.
+    /// A no-deadline budget with the given state cap.
     pub fn states(max_states: usize) -> Self {
         Self {
             max_states,
-            max_bytes: None,
             deadline: None,
         }
-    }
-
-    /// Replace the byte budget.
-    pub fn max_bytes(mut self, max_bytes: usize) -> Self {
-        self.max_bytes = Some(max_bytes);
-        self
     }
 
     /// Replace the deadline.
@@ -160,14 +147,6 @@ impl SearchBudget {
     /// Whether the deadline has passed.
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
-
-/// A bare state cap is the historical search-budget shape; lifting it
-/// keeps `explore_*(…, max_states)` call sites working verbatim.
-impl From<usize> for SearchBudget {
-    fn from(max_states: usize) -> Self {
-        SearchBudget::states(max_states)
     }
 }
 

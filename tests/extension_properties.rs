@@ -6,6 +6,7 @@
 
 use ibgp::confed::{random_confederation, ConfedEngine, ConfedMode, RandomConfedConfig};
 use ibgp::hierarchy::{random_hierarchy, HierEngine, HierMode, RandomHierConfig};
+use ibgp::sim::Engine;
 use proptest::prelude::*;
 
 fn hier_cfg() -> impl Strategy<Value = (RandomHierConfig, u64)> {
