@@ -1,52 +1,73 @@
 //! Level-synchronous parallel driver for the reachability search.
 //!
 //! The exploration of [`crate::reachability`] is a BFS over configurations
-//! whose per-state work — restore a snapshot, test stability, derive the
-//! `n + 1` branch successors, canonicalize each — is embarrassingly
-//! parallel, while its *bookkeeping* (dedup, the state cap, stable-vector
-//! collection) is order-sensitive. This module splits the two:
+//! whose per-state work — test stability, derive the `n + 1` branch
+//! successors, canonicalize each — is embarrassingly parallel, while its
+//! *bookkeeping* (dedup, the state cap, stable-vector collection) is
+//! order-sensitive. This module splits the two:
 //!
-//! * **Workers** expand whole BFS levels in parallel, in *batches* of
-//!   frontier states. Each worker owns a private engine from the
-//!   [`Scheme`] (a [`SyncEngine`] is `Send` but not `Sync` — its memo is
-//!   a `RefCell`) and restores it per unit; sweep-engine frontier states
-//!   are engines themselves and need none. A worker reports either the
-//!   state's stable best-exit vector or its successor list, pre-filtered
-//!   against the *frozen* visited set of earlier levels — a read-only,
-//!   order-independent test.
-//! * **The coordinator** merges each level's unit outcomes *sequentially
-//!   in canonical order* (frontier index, then branch index): within-level
-//!   dedup, state counting, the cap and byte-budget checks, and
-//!   stable-vector collection all happen here, in exactly the order the
-//!   single-threaded explorer would perform them.
+//! * **Chunks.** Each BFS level is taken in chunks of [`CHUNK_LEN`]
+//!   frontier states — a constant, never a function of `jobs`. A chunk
+//!   is expanded against the visited set *as it stands at the chunk's
+//!   start*, then merged before the next chunk starts. A search whose
+//!   cap (or byte budget, or deadline) fires partway through a level
+//!   stops expanding at that chunk, and no level's successors are ever
+//!   held in memory all at once.
+//! * **Workers** expand a chunk in parallel, in *batches* of frontier
+//!   states. Each worker owns a private engine from the [`Scheme`] and
+//!   reports, per state, either its stable best-exit vector or its
+//!   successors, pre-filtered against the *frozen* visited set — a
+//!   read-only, order-independent test.
+//! * **The coordinator** merges each chunk's unit outcomes *sequentially
+//!   in canonical order* (frontier index, then branch index): dedup,
+//!   state counting, the cap and byte-budget checks, and stable-vector
+//!   collection all happen here, in exactly the order the
+//!   single-threaded whole-level explorer would perform them. The
+//!   pre-filter can only drop successors the merge would reject anyway
+//!   (the visited set only grows), so `states`, the stop reason, the
+//!   stable vectors, the frontier depth and the peak queue are the same
+//!   at every chunk length and every `jobs` value. The coordinator's
+//!   wall clock splits into waiting for expansions
+//!   ([`Metrics::expand_nanos`]) and merging ([`Metrics::merge_nanos`]).
 //!
 //! **No locks on the hot path.** The visited set is a plain (unlocked)
-//! striped table owned behind an [`Arc`]. While a level runs, workers
+//! striped table owned behind an [`Arc`]. While a chunk runs, workers
 //! hold shared clones of that `Arc` — shipped to them inside each work
 //! batch and shipped back with the results — and only *read*. Between
-//! levels every clone has been returned, so the coordinator reclaims
+//! chunks every clone has been returned, so the coordinator reclaims
 //! unique ownership ([`Arc::get_mut`]) and inserts sequentially. The only
 //! synchronization anywhere is the message channels themselves (plus a
 //! `Mutex` around the shared work-queue receiver, held just long enough
 //! to pop a batch). Nothing ever blocks a worker mid-expansion.
 //!
+//! **The visited set** is 64 stripes selected by key digest, each an
+//! open-addressing table of `(digest, arena location)` slots that grows
+//! on its own. Keys live in a word arena of fixed-size pages, each key
+//! preceded by its length word, and are probed by `(digest, &[u32])`:
+//! no allocation per key or per bucket, and no page is ever copied when
+//! the set grows. Every scheme hands the set words: flat keys as they
+//! are, sweep keys in their self-delimiting per-router encoding, legacy
+//! [`StateKey`]s in a self-delimiting word encoding.
+//!
 //! The skeleton knows no engine: the [`Scheme`] trait supplies the
-//! per-worker engine, the frontier snapshot, and the state key. Three
+//! per-worker engine, the frontier state, and the visited key. Three
 //! schemes drive the same search skeleton:
 //!
-//! * [`FlatScheme`] (the default): states are [`FlatKey`]s — fixed-width
-//!   `u32` blocks per router encoding (possible, advertised, best) as
-//!   bitmasks over the injected exit-path table (see
-//!   [`ibgp_sim::flat`]). The engine's [`SyncEngine::plan`] /
-//!   [`SyncEngine::branch_key`] API derives every branch successor's key
-//!   from one set of memoized update rows *without* restoring or stepping
-//!   the engine per branch, and only materializes a full snapshot
-//!   ([`SyncEngine::branch_snapshot`]) for successors that survive the
-//!   visited pre-filter. Symmetry acts directly on the words via
-//!   [`FlatAction`].
+//! * [`FlatScheme`] (the default): states are fixed-width `u32` blocks
+//!   per router encoding (possible, advertised, best) as bitmasks over
+//!   the injected exit-path table (see [`ibgp_sim::flat`]). The frontier
+//!   holds those words and nothing else; a worker's [`FlatEngine`] plans
+//!   every router's next block from a state's key (memoized on the
+//!   router's peers' advertised masks) and writes each branch successor
+//!   into a scratch buffer. Only successors that survive the visited
+//!   pre-filter are copied out, and the coordinator moves an admitted
+//!   one straight into the next frontier. Symmetry acts directly on the
+//!   words via [`FlatAction`]: the frontier keeps the raw successor, the
+//!   visited set its canonical image.
 //! * [`LegacyScheme`] (`flat = false`): the original restore-step-rekey
-//!   path over [`StateKey`]s, kept as the executable specification the
-//!   equivalence suite drives the flat path against.
+//!   path over [`SyncSnapshot`]s and [`StateKey`]s, kept as the
+//!   executable specification the equivalence suites drive the flat path
+//!   against, and as the one scheme that carries loop prevention.
 //! * [`SweepScheme`]: any [`SweepEngine`] — the confederation and
 //!   hierarchy engines. The frontier holds engine clones; one
 //!   `update_all` per state keys every branch successor by laying the
@@ -58,24 +79,27 @@
 //! The flat and legacy key spaces are bijective
 //! (`StateCodec::{encode_key, decode_key}`), so both schemes visit the
 //! same states in the same order and report identical `states`,
-//! `complete`, `stable_vectors`, and cap points. Only encoding-internal
-//! gauges (cache splits, digests, byte estimates) may differ.
+//! `complete`, `stable_vectors`, cap points and engine counters. Only
+//! encoding-internal gauges (cache splits, digests, byte estimates) may
+//! differ.
 //!
-//! Determinism: a state's outcome is a pure function of its snapshot (the
-//! pre-filter can only drop successors the merge would reject anyway), so
-//! the merged per-level view is bit-identical for every `jobs` value,
-//! including the in-thread `jobs = 1` path. Only the per-worker memo
-//! split (cache hit/miss counts) varies with scheduling.
+//! Determinism: a state's outcome is a pure function of its key (or
+//! snapshot) and the visited set at its chunk's start, so the merged view
+//! is bit-identical for every `jobs` value, including the in-thread
+//! `jobs = 1` path. Only the per-worker memo split (cache hit/miss
+//! counts) varies with scheduling. Engine counters count expanded states
+//! only: a capped search reports the work of the chunks it expanded.
 //!
 //! **Symmetry reduction** ([`ExploreOptions::symmetry`]): each successor
 //! key is canonicalized under the instance's automorphism group (see
 //! [`crate::symmetry`]) *before* the visited-set probe, so orbit-mates
 //! collapse to one representative. Stable vectors found at
 //! representatives are expanded back through the group, which restores
-//! exactly the plain search's stable-vector set. If any generated state
+//! exactly the plain search's stable-vector set. If any expanded state
 //! could have put an identifier-order tie-break in charge (the guard in
 //! `crate::symmetry`), the whole search deterministically restarts with
-//! symmetry off.
+//! symmetry off. The guard sees the expanded chunks only, so a capped
+//! search that stops before reaching a tripping state keeps its group.
 //!
 //! **Partial-order reduction** ([`ExploreOptions::por`]): before
 //! expanding a state's branches, each worker asks the engine for the
@@ -85,18 +109,18 @@
 //! the exactness argument, including the structural discharge of the
 //! cycle proviso). When the set is non-empty the state expands through
 //! that one compound branch instead of all `n + 1`; otherwise it falls
-//! back to full expansion. The choice is a pure function of the
-//! snapshot, so verdicts stay bit-identical across `jobs`, and it is
+//! back to full expansion. The choice is a pure function of the state,
+//! so verdicts stay bit-identical across `jobs`, and it is
 //! automorphism-equivariant, so it composes with symmetry reduction
 //! (and with the guard's symmetry-free restart, which keeps POR on).
 //!
 //! **Memory bounding** ([`ExploreOptions::max_bytes`]): the coordinator
 //! accounts an estimated byte footprint for every inserted key. On the
-//! first budget breach it compacts every shard from full keys to
-//! digest-only hashes (64-bit, collision-counted while exact keys are
+//! first budget breach it compacts every stripe from full keys to
+//! digest-only entries (64-bit, collision-counted while exact keys are
 //! still around); if the digests alone breach the budget, the search
 //! stops and reports "ran out of memory budget" instead of OOMing. Byte
-//! estimates are per-encoding (`FlatKey`s are much smaller than
+//! estimates are per-encoding (flat keys are much smaller than
 //! `StateKey`s), so a given budget caps the flat and legacy searches at
 //! different points — but identically across `jobs` values within one
 //! encoding.
@@ -104,20 +128,20 @@
 use crate::reachability::{ExploreOptions, Reachability};
 use crate::symmetry::{FlatAction, SymmetryGroup};
 use ibgp_proto::variants::ProtocolConfig;
+use ibgp_sim::flat::hash_words;
 use ibgp_sim::signature::StateKey;
-use ibgp_sim::{FlatKey, Metrics, StateCodec, SweepEngine, SyncEngine, SyncSnapshot};
+use ibgp_sim::{FlatEngine, FlatKey, Metrics, StateCodec, SweepEngine, SyncEngine, SyncSnapshot};
 use ibgp_topology::Topology;
 use ibgp_types::{ExitPathId, ExitPathRef, RouterId, StopReason};
-use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Number of visited-set stripes. A fixed power of two keeps
 /// digest-sharded occupancy balanced.
 const SHARD_COUNT: usize = 64;
 
-/// Accounted bytes per hash-map entry beyond the key payload (digest,
+/// Accounted bytes per exact entry beyond the key payload (digest,
 /// bucket bookkeeping). An estimate, like `approx_bytes`.
 const ENTRY_OVERHEAD: usize = 48;
 
@@ -127,40 +151,153 @@ const DIGEST_ENTRY_BYTES: usize = 16;
 /// Largest number of frontier states bundled into one worker handoff.
 const MAX_BATCH: usize = 256;
 
-/// What the visited set needs from a state key: a well-mixed 64-bit
-/// digest for sharding/bucketing and a byte estimate for the memory
-/// budget. Implemented by both encodings.
-pub(crate) trait SearchKey: Eq + Send + Sync {
-    fn digest(&self) -> u64;
-    fn approx_bytes(&self) -> usize;
+/// Frontier states expanded, then merged, per chunk.
+const CHUNK_LEN: usize = 4096;
+
+/// Words per visited-set arena page (256 KiB). Pages never reallocate,
+/// so the arena grows without copying the keys it already holds.
+const PAGE_WORDS: usize = 1 << 16;
+
+/// Slots a stripe starts with (a power of two).
+const STRIPE_SLOTS: usize = 16;
+
+/// Arena location of an empty slot.
+const EMPTY: u64 = u64::MAX;
+
+/// Arena location of every slot once compaction has dropped the keys.
+const DIGEST_ONLY: u64 = 0;
+
+/// Fibonacci-hashing multiplier (2^64 / golden ratio) spreading a
+/// digest's stripe-internal bits over the slot index.
+const SLOT_SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A key as the visited set sees it: a digest for striping and probing,
+/// the words that decide equality, and the bytes the memory budget
+/// charges for it.
+struct Probe<'k> {
+    digest: u64,
+    words: &'k [u32],
+    bytes: usize,
 }
 
-impl SearchKey for StateKey {
-    fn digest(&self) -> u64 {
-        StateKey::digest(self)
-    }
-    fn approx_bytes(&self) -> usize {
-        StateKey::approx_bytes(self)
-    }
-}
-
-impl SearchKey for FlatKey {
-    fn digest(&self) -> u64 {
-        FlatKey::digest(self)
-    }
-    fn approx_bytes(&self) -> usize {
-        FlatKey::approx_bytes(self)
+impl<'k> From<&'k FlatKey> for Probe<'k> {
+    fn from(key: &'k FlatKey) -> Self {
+        Probe {
+            digest: key.digest(),
+            words: key.words(),
+            bytes: key.approx_bytes(),
+        }
     }
 }
 
-/// One shard of the visited set: exact keys until a memory budget forces
-/// digest-only compaction.
-enum ShardStore<K> {
-    /// Digest → colliding keys. Exact membership, collision-free.
-    Exact(HashMap<u64, Vec<K>>),
-    /// Digests only. A collision conflates two states (counted while the
-    /// exact keys were still around; unobservable afterwards).
-    Digest(HashSet<u64>),
+/// Key storage: fixed-size pages, each key stored as its length word
+/// followed by its words. A location packs `page << 32 | offset`.
+#[derive(Default)]
+struct Arena {
+    pages: Vec<Vec<u32>>,
+}
+
+impl Arena {
+    fn push(&mut self, words: &[u32]) -> u64 {
+        let need = words.len() + 1;
+        if self
+            .pages
+            .last()
+            .is_none_or(|page| page.capacity() - page.len() < need)
+        {
+            // A key longer than a page gets a page of its own size.
+            self.pages.push(Vec::with_capacity(PAGE_WORDS.max(need)));
+        }
+        let index = self.pages.len() - 1;
+        let page = &mut self.pages[index];
+        let offset = page.len();
+        page.push(u32::try_from(words.len()).expect("a key's length fits one word"));
+        page.extend_from_slice(words);
+        (index as u64) << 32 | offset as u64
+    }
+
+    fn get(&self, at: u64) -> &[u32] {
+        let page = &self.pages[(at >> 32) as usize];
+        let offset = (at & 0xffff_ffff) as usize;
+        &page[offset + 1..offset + 1 + page[offset] as usize]
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Slot {
+    digest: u64,
+    /// Arena location of the key, [`EMPTY`], or [`DIGEST_ONLY`].
+    at: u64,
+}
+
+const VACANT: Slot = Slot {
+    digest: 0,
+    at: EMPTY,
+};
+
+/// One stripe: linear-probing slots, at most three quarters full,
+/// doubled on its own when an insert would pass that.
+struct Stripe {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl Stripe {
+    fn new() -> Self {
+        Self {
+            slots: vec![VACANT; STRIPE_SLOTS],
+            len: 0,
+        }
+    }
+
+    fn home(&self, digest: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        ((digest / SHARD_COUNT as u64).wrapping_mul(SLOT_SPREAD) >> (64 - bits)) as usize
+    }
+
+    /// Walk `digest`'s probe sequence: `Ok` at the first slot with this
+    /// digest whose location `same` accepts, otherwise `Err` with the
+    /// vacant slot that ended the walk and whether a slot with this
+    /// digest was passed on the way (a digest collision).
+    fn probe(&self, digest: u64, mut same: impl FnMut(u64) -> bool) -> Result<(), (usize, bool)> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(digest);
+        let mut collision = false;
+        loop {
+            let slot = self.slots[i];
+            if slot.at == EMPTY {
+                return Err((i, collision));
+            }
+            if slot.digest == digest {
+                if same(slot.at) {
+                    return Ok(());
+                }
+                collision = true;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Fill `vacant` (from [`Stripe::probe`]) with `slot`, growing first
+    /// if the stripe would pass three quarters full.
+    fn place(&mut self, mut vacant: usize, slot: Slot) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let doubled = vec![VACANT; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, doubled);
+            for moved in old.into_iter().filter(|s| s.at != EMPTY) {
+                let Err((i, _)) = self.probe(moved.digest, |_| false) else {
+                    unreachable!("a probe that accepts nothing ends at a vacant slot")
+                };
+                self.slots[i] = moved;
+            }
+            let Err((i, _)) = self.probe(slot.digest, |_| false) else {
+                unreachable!("a probe that accepts nothing ends at a vacant slot")
+            };
+            vacant = i;
+        }
+        self.slots[vacant] = slot;
+        self.len += 1;
+    }
 }
 
 /// What one insert did.
@@ -174,95 +311,96 @@ enum Inserted {
 }
 
 /// The visited set, striped by key digest. Deliberately lock-free: the
-/// coordinator owns it mutably between levels (via [`Arc::get_mut`]);
-/// workers only ever hold it behind a shared `Arc` and call [`Self::contains`].
-struct Visited<K> {
-    shards: Vec<ShardStore<K>>,
+/// coordinator owns it mutably between chunks (via [`Arc::get_mut`]);
+/// workers only ever hold it behind a shared `Arc` and call
+/// [`Self::contains`].
+struct Visited {
+    stripes: Vec<Stripe>,
+    arena: Arena,
+    /// Exact keys were dropped: a digest match is membership.
+    compacted: bool,
 }
 
-impl<K: SearchKey> Visited<K> {
+impl Visited {
     fn new() -> Self {
         Self {
-            shards: (0..SHARD_COUNT)
-                .map(|_| ShardStore::Exact(HashMap::new()))
-                .collect(),
+            stripes: (0..SHARD_COUNT).map(|_| Stripe::new()).collect(),
+            arena: Arena::default(),
+            compacted: false,
         }
+    }
+
+    fn stripe(digest: u64) -> usize {
+        (digest % SHARD_COUNT as u64) as usize
     }
 
     /// Read-only membership test (the workers' pre-filter).
-    fn contains(&self, key: &K) -> bool {
-        let digest = key.digest();
-        match &self.shards[(digest % SHARD_COUNT as u64) as usize] {
-            ShardStore::Exact(map) => map.get(&digest).is_some_and(|bucket| bucket.contains(key)),
-            ShardStore::Digest(set) => set.contains(&digest),
-        }
+    fn contains(&self, digest: u64, words: &[u32]) -> bool {
+        self.stripes[Self::stripe(digest)]
+            .probe(digest, |at| self.compacted || self.arena.get(at) == words)
+            .is_ok()
     }
 
     /// Insert if new (the coordinator's authoritative dedup).
-    fn insert(&mut self, key: K) -> Inserted {
-        let digest = key.digest();
-        match &mut self.shards[(digest % SHARD_COUNT as u64) as usize] {
-            ShardStore::Exact(map) => {
-                let bucket = map.entry(digest).or_default();
-                if bucket.contains(&key) {
-                    Inserted::Seen
-                } else {
-                    let collision = !bucket.is_empty();
-                    let bytes = key.approx_bytes() + if collision { 0 } else { ENTRY_OVERHEAD };
-                    bucket.push(key);
-                    Inserted::New { bytes, collision }
-                }
-            }
-            ShardStore::Digest(set) => {
-                if set.insert(digest) {
-                    Inserted::New {
-                        bytes: DIGEST_ENTRY_BYTES,
-                        collision: false,
-                    }
-                } else {
-                    Inserted::Seen
-                }
-            }
-        }
+    fn insert(&mut self, key: &Probe) -> Inserted {
+        let s = Self::stripe(key.digest);
+        let probe = self.stripes[s].probe(key.digest, |at| {
+            self.compacted || self.arena.get(at) == key.words
+        });
+        let Err((vacant, collision)) = probe else {
+            return Inserted::Seen;
+        };
+        // A digest-only probe stops at the first equal digest, so a
+        // collision is only ever observed while exact keys are stored.
+        let (at, bytes) = if self.compacted {
+            (DIGEST_ONLY, DIGEST_ENTRY_BYTES)
+        } else {
+            let overhead = if collision { 0 } else { ENTRY_OVERHEAD };
+            (self.arena.push(key.words), key.bytes + overhead)
+        };
+        let digest = key.digest;
+        self.stripes[s].place(vacant, Slot { digest, at });
+        Inserted::New { bytes, collision }
     }
 
-    /// Drop every exact key, keeping digests only. Returns the accounted
-    /// footprint of the compacted set.
+    /// Drop every exact key, keeping one digest-only entry per distinct
+    /// digest. Returns the accounted footprint of the compacted set.
     fn compact(&mut self) -> usize {
         let mut total = 0usize;
-        for shard in &mut self.shards {
-            let digests: HashSet<u64> = match shard {
-                ShardStore::Exact(map) => map.keys().copied().collect(),
-                ShardStore::Digest(set) => std::mem::take(set),
-            };
-            total += digests.len() * DIGEST_ENTRY_BYTES;
-            *shard = ShardStore::Digest(digests);
+        for stripe in &mut self.stripes {
+            let old = std::mem::replace(stripe, Stripe::new());
+            for slot in old.slots.into_iter().filter(|s| s.at != EMPTY) {
+                if let Err((vacant, _)) = stripe.probe(slot.digest, |_| true) {
+                    stripe.place(
+                        vacant,
+                        Slot {
+                            digest: slot.digest,
+                            at: DIGEST_ONLY,
+                        },
+                    );
+                }
+            }
+            total += stripe.len * DIGEST_ENTRY_BYTES;
         }
+        self.arena = Arena::default();
+        self.compacted = true;
         total
     }
 
-    /// Most keys (or digests) held by any one shard (balance gauge).
+    /// Most keys (or digests) held by any one stripe (balance gauge).
     fn peak_shard(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| match s {
-                ShardStore::Exact(map) => map.values().map(Vec::len).sum::<usize>(),
-                ShardStore::Digest(set) => set.len(),
-            })
-            .max()
-            .unwrap_or(0) as u64
+        self.stripes.iter().map(|s| s.len).max().unwrap_or(0) as u64
     }
 }
 
 /// What one frontier state turned out to be.
-enum UnitOutcome<K, T> {
+enum UnitOutcome<F> {
     /// A fixed point, with its best-exit vector.
     Stable(Vec<Option<ExitPathId>>),
-    /// Not stable: per branch successor not already visited in an earlier
-    /// level, in branch order: its (canonical) key, raw snapshot, and
-    /// orbit size (1 without symmetry).
+    /// Not stable: the branch successors not already visited when the
+    /// chunk started, in branch order.
     Expanded {
-        fresh: Vec<(K, T, u64)>,
+        fresh: Vec<F>,
         /// A successor tripped the tie-soundness guard: the whole search
         /// must restart without symmetry.
         unsound: bool,
@@ -274,22 +412,23 @@ enum UnitOutcome<K, T> {
 }
 
 /// One search strategy: the engine that expands states, the frontier
-/// snapshot, and the state key. Shared (`&self`) across worker threads;
+/// state, and the visited key. Shared (`&self`) across worker threads;
 /// all mutable engine state lives in the per-worker [`Scheme::Engine`].
 trait Scheme: Sync {
-    type Key: SearchKey;
     /// A worker's private expansion engine.
     type Engine;
     /// One frontier state.
     type Snapshot: Send;
+    /// A successor that survived the visited pre-filter.
+    type Fresh: Send;
 
     /// A fresh engine, ready to expand. Called once for the coordinator
     /// and once per worker.
     fn engine(&self) -> Self::Engine;
 
-    /// Key, snapshot, and orbit size of the initial state, or `None` if
-    /// it already trips the tie-soundness guard.
-    fn initial(&self, engine: &mut Self::Engine) -> Option<(Self::Key, Self::Snapshot, u64)>;
+    /// The initial state, or `None` if it already trips the
+    /// tie-soundness guard.
+    fn initial(&self, engine: &mut Self::Engine) -> Option<Self::Fresh>;
 
     /// Expand one frontier state.
     fn expand_unit(
@@ -297,8 +436,15 @@ trait Scheme: Sync {
         engine: &mut Self::Engine,
         snap: &Self::Snapshot,
         branches: &[Vec<RouterId>],
-        visited: &Visited<Self::Key>,
-    ) -> UnitOutcome<Self::Key, Self::Snapshot>;
+        visited: &Visited,
+    ) -> UnitOutcome<Self::Fresh>;
+
+    /// The visited-set key of a fresh successor, and its orbit size (1
+    /// without symmetry).
+    fn key<'f>(&self, fresh: &'f Self::Fresh) -> (Probe<'f>, u64);
+
+    /// What the next frontier keeps of an admitted successor.
+    fn admit(&self, fresh: Self::Fresh) -> Self::Snapshot;
 
     /// All images of a stable best-exit vector under the group (just the
     /// vector itself without symmetry).
@@ -310,6 +456,32 @@ trait Scheme: Sync {
     /// keeps any.
     fn metrics(&self, _engine: &Self::Engine) -> Metrics {
         Metrics::default()
+    }
+}
+
+/// The ample branch when POR applies, the full branch set otherwise.
+fn chosen<'b>(
+    ample: Option<Vec<RouterId>>,
+    storage: &'b mut Vec<Vec<RouterId>>,
+    branches: &'b [Vec<RouterId>],
+) -> &'b [Vec<RouterId>] {
+    match ample {
+        Some(set) => {
+            storage.push(set);
+            storage
+        }
+        None => branches,
+    }
+}
+
+/// The outcome of a unit abandoned because a successor tripped the
+/// tie-soundness guard (the chunk is discarded wholesale; no point
+/// finishing this unit).
+fn unsound<F>() -> UnitOutcome<F> {
+    UnitOutcome::Expanded {
+        fresh: Vec::new(),
+        unsound: true,
+        ample: false,
     }
 }
 
@@ -340,27 +512,64 @@ struct LegacyScheme<'a> {
     por: bool,
 }
 
+/// A legacy successor that survived the pre-filter: its (canonical) key
+/// in the visited set's terms, and the raw snapshot to expand.
+struct LegacyFresh {
+    digest: u64,
+    words: Box<[u32]>,
+    bytes: usize,
+    orbit: u64,
+    snap: SyncSnapshot,
+}
+
+/// A [`StateKey`] as self-delimiting words: per router, each list is
+/// preceded by its length and the best slot is the id plus one (0 for
+/// none); the phase closes the key. Distinct keys of one search never
+/// share an encoding.
+fn state_words(key: &StateKey) -> Vec<u32> {
+    let mut words = Vec::new();
+    for node in &key.nodes {
+        words.push(node.possible.len() as u32);
+        words.extend(node.possible.iter().map(|id| id.raw()));
+        words.push(node.best.map_or(0, |id| id.raw() + 1));
+        words.push(node.advertised.len() as u32);
+        words.extend(node.advertised.iter().map(|id| id.raw()));
+        words.push(node.rr.len() as u32);
+        words.extend_from_slice(&node.rr);
+    }
+    words.extend([key.phase as u32, (key.phase >> 32) as u32]);
+    words
+}
+
+impl LegacyScheme<'_> {
+    /// Canonicalize `raw` under the group; `None` when the guard trips.
+    fn canonical(&self, raw: StateKey) -> Option<(StateKey, u64)> {
+        match self.group {
+            Some(g) if g.guard_trips(&raw) => None,
+            Some(g) => Some(g.canonical(&raw)),
+            None => Some((raw, 1)),
+        }
+    }
+}
+
 impl<'a> Scheme for LegacyScheme<'a> {
-    type Key = StateKey;
     type Engine = SyncEngine<'a>;
     type Snapshot = SyncSnapshot;
+    type Fresh = LegacyFresh;
 
     fn engine(&self) -> SyncEngine<'a> {
         self.setup.engine()
     }
 
-    fn initial(&self, engine: &mut SyncEngine) -> Option<(StateKey, SyncSnapshot, u64)> {
-        let raw = engine.state_key(0);
-        let (key, orbit) = match self.group {
-            Some(g) => {
-                if g.guard_trips(&raw) {
-                    return None;
-                }
-                g.canonical(&raw)
-            }
-            None => (raw, 1),
-        };
-        Some((key, engine.snapshot(), orbit))
+    fn initial(&self, engine: &mut SyncEngine) -> Option<LegacyFresh> {
+        let (key, orbit) = self.canonical(engine.state_key(0))?;
+        Some(LegacyFresh {
+            digest: key.digest(),
+            words: state_words(&key).into_boxed_slice(),
+            bytes: key.approx_bytes(),
+            orbit,
+            snap: engine.snapshot(),
+        })
     }
 
     fn expand_unit(
@@ -368,8 +577,8 @@ impl<'a> Scheme for LegacyScheme<'a> {
         engine: &mut SyncEngine,
         snap: &SyncSnapshot,
         branches: &[Vec<RouterId>],
-        visited: &Visited<StateKey>,
-    ) -> UnitOutcome<StateKey, SyncSnapshot> {
+        visited: &Visited,
+    ) -> UnitOutcome<LegacyFresh> {
         engine.restore(snap);
         let plan = engine.plan();
         if plan.stable {
@@ -385,39 +594,27 @@ impl<'a> Scheme for LegacyScheme<'a> {
             None
         };
         let reduced = ample.is_some();
-        let ample_storage;
-        let branches: &[Vec<RouterId>] = match ample {
-            Some(set) => {
-                ample_storage = [set];
-                &ample_storage
-            }
-            None => branches,
-        };
+        let mut storage = Vec::new();
         let mut fresh = Vec::new();
-        for branch in branches {
+        for branch in chosen(ample, &mut storage, branches) {
             engine.restore(snap);
             engine.step(branch);
-            let raw = engine.state_key(0);
-            let (key, orbit) = match self.group {
-                Some(g) => {
-                    if g.guard_trips(&raw) {
-                        // The level is abandoned wholesale; no point
-                        // finishing this unit.
-                        return UnitOutcome::Expanded {
-                            fresh: Vec::new(),
-                            unsound: true,
-                            ample: false,
-                        };
-                    }
-                    g.canonical(&raw)
-                }
-                None => (raw, 1),
+            let Some((key, orbit)) = self.canonical(engine.state_key(0)) else {
+                return unsound();
             };
-            // Pre-filter against earlier levels only: the set is frozen
-            // while the level runs, so this test is order-independent.
-            // Within-level duplicates are the coordinator's job.
-            if !visited.contains(&key) {
-                fresh.push((key, engine.snapshot(), orbit));
+            // Pre-filter against the visited set frozen at the chunk's
+            // start: an order-independent test. Within-chunk duplicates
+            // are the coordinator's job.
+            let digest = key.digest();
+            let words = state_words(&key);
+            if !visited.contains(digest, &words) {
+                fresh.push(LegacyFresh {
+                    digest,
+                    words: words.into_boxed_slice(),
+                    bytes: key.approx_bytes(),
+                    orbit,
+                    snap: engine.snapshot(),
+                });
             }
         }
         UnitOutcome::Expanded {
@@ -425,6 +622,19 @@ impl<'a> Scheme for LegacyScheme<'a> {
             unsound: false,
             ample: reduced,
         }
+    }
+
+    fn key<'f>(&self, fresh: &'f LegacyFresh) -> (Probe<'f>, u64) {
+        let probe = Probe {
+            digest: fresh.digest,
+            words: &fresh.words,
+            bytes: fresh.bytes,
+        };
+        (probe, fresh.orbit)
+    }
+
+    fn admit(&self, fresh: LegacyFresh) -> SyncSnapshot {
+        fresh.snap
     }
 
     fn vector_orbit(&self, bv: &[Option<ExitPathId>]) -> Vec<Vec<Option<ExitPathId>>> {
@@ -439,10 +649,8 @@ impl<'a> Scheme for LegacyScheme<'a> {
     }
 }
 
-/// The flat fixed-width encoding path. One [`SyncEngine::plan`] per
-/// frontier state replaces the per-branch restore/step churn, and
-/// [`SyncEngine::branch_snapshot`] only runs for successors that survive
-/// the pre-filter.
+/// The flat fixed-width encoding path: frontier states are key words,
+/// expanded by a key-in, key-out [`FlatEngine`].
 struct FlatScheme<'a> {
     setup: SyncSetup<'a>,
     codec: Arc<StateCodec>,
@@ -451,78 +659,100 @@ struct FlatScheme<'a> {
     por: bool,
 }
 
-impl<'a> Scheme for FlatScheme<'a> {
-    type Key = FlatKey;
-    type Engine = SyncEngine<'a>;
-    type Snapshot = SyncSnapshot;
+/// A worker's flat engine plus the scratch buffers successors are built
+/// in. A successor the pre-filter rejects never leaves them.
+struct FlatWorker<'a> {
+    engine: FlatEngine<'a>,
+    succ: Vec<u32>,
+    canon: Vec<u32>,
+    image: Vec<u32>,
+}
 
-    fn engine(&self) -> SyncEngine<'a> {
-        let mut engine = self.setup.engine();
-        engine.set_codec(Arc::clone(&self.codec));
-        engine
+/// A flat successor that survived the pre-filter: the key the visited
+/// set holds (canonical under symmetry) and, when symmetry moved it, the
+/// raw successor the next frontier expands.
+struct FlatFresh {
+    key: FlatKey,
+    raw: Option<Box<[u32]>>,
+    orbit: u64,
+}
+
+/// The tie-soundness guard tripped.
+struct Unsound;
+
+impl FlatScheme<'_> {
+    /// Key the successor in `w.succ`: canonicalize it under the group,
+    /// drop it if `visited` already holds it, and only then copy it out
+    /// of the scratch buffers.
+    fn keep(
+        &self,
+        w: &mut FlatWorker,
+        visited: Option<&Visited>,
+    ) -> Result<Option<FlatFresh>, Unsound> {
+        let (words, orbit) = match &self.action {
+            None => (&w.succ, 1),
+            Some(action) => {
+                if action.guard_trips(&w.succ) {
+                    return Err(Unsound);
+                }
+                let orbit = action.canonical_into(&w.succ, &mut w.canon, &mut w.image);
+                (&w.canon, orbit)
+            }
+        };
+        if visited.is_some_and(|v| v.contains(hash_words(words), words)) {
+            return Ok(None);
+        }
+        Ok(Some(FlatFresh {
+            key: FlatKey::new(words.as_slice().into()),
+            raw: self.action.is_some().then(|| w.succ.as_slice().into()),
+            orbit,
+        }))
+    }
+}
+
+impl<'a> Scheme for FlatScheme<'a> {
+    type Engine = FlatWorker<'a>;
+    type Snapshot = Box<[u32]>;
+    type Fresh = FlatFresh;
+
+    fn engine(&self) -> FlatWorker<'a> {
+        FlatWorker {
+            engine: FlatEngine::new(&self.setup.engine(), Arc::clone(&self.codec)),
+            succ: vec![0; self.codec.key_words()],
+            canon: Vec::new(),
+            image: Vec::new(),
+        }
     }
 
-    fn initial(&self, engine: &mut SyncEngine) -> Option<(FlatKey, SyncSnapshot, u64)> {
-        let raw = engine.flat_key();
-        let (key, orbit) = match &self.action {
-            Some(a) => {
-                if a.guard_trips(&raw) {
-                    return None;
-                }
-                a.canonical(&raw)
-            }
-            None => (raw, 1),
-        };
-        Some((key, engine.snapshot(), orbit))
+    fn initial(&self, w: &mut FlatWorker<'a>) -> Option<FlatFresh> {
+        let key = self.codec.encode_key(&self.setup.engine().state_key(0));
+        w.succ.copy_from_slice(key.words());
+        self.keep(w, None).ok().flatten()
     }
 
     fn expand_unit(
         &self,
-        engine: &mut SyncEngine,
-        snap: &SyncSnapshot,
+        w: &mut FlatWorker<'a>,
+        snap: &Box<[u32]>,
         branches: &[Vec<RouterId>],
-        visited: &Visited<FlatKey>,
-    ) -> UnitOutcome<FlatKey, SyncSnapshot> {
-        engine.restore(snap);
-        let plan = engine.plan();
-        if plan.stable {
-            return UnitOutcome::Stable(engine.best_vector());
+        visited: &Visited,
+    ) -> UnitOutcome<FlatFresh> {
+        if w.engine.plan(snap) {
+            return UnitOutcome::Stable(w.engine.best_vector());
         }
         // POR branch choice: identical rule to the legacy scheme (the
         // equivalence suite holds the two encodings to the same reduced
         // state space).
-        let ample = if self.por {
-            engine.ample_set(&plan)
-        } else {
-            None
-        };
+        let ample = if self.por { w.engine.ample_set() } else { None };
         let reduced = ample.is_some();
-        let ample_storage;
-        let branches: &[Vec<RouterId>] = match ample {
-            Some(set) => {
-                ample_storage = [set];
-                &ample_storage
-            }
-            None => branches,
-        };
+        let mut storage = Vec::new();
         let mut fresh = Vec::new();
-        for branch in branches {
-            let raw = engine.branch_key(&plan, branch);
-            let (key, orbit) = match &self.action {
-                Some(a) => {
-                    if a.guard_trips(&raw) {
-                        return UnitOutcome::Expanded {
-                            fresh: Vec::new(),
-                            unsound: true,
-                            ample: false,
-                        };
-                    }
-                    a.canonical(&raw)
-                }
-                None => (raw, 1),
-            };
-            if !visited.contains(&key) {
-                fresh.push((key, engine.branch_snapshot(&plan, branch), orbit));
+        for branch in chosen(ample, &mut storage, branches) {
+            w.engine.successor_into(branch, &mut w.succ);
+            match self.keep(w, Some(visited)) {
+                Ok(Some(f)) => fresh.push(f),
+                Ok(None) => {}
+                Err(Unsound) => return unsound(),
             }
         }
         UnitOutcome::Expanded {
@@ -532,6 +762,14 @@ impl<'a> Scheme for FlatScheme<'a> {
         }
     }
 
+    fn key<'f>(&self, fresh: &'f FlatFresh) -> (Probe<'f>, u64) {
+        (Probe::from(&fresh.key), fresh.orbit)
+    }
+
+    fn admit(&self, fresh: FlatFresh) -> Box<[u32]> {
+        fresh.raw.unwrap_or_else(|| fresh.key.into_words())
+    }
+
     fn vector_orbit(&self, bv: &[Option<ExitPathId>]) -> Vec<Vec<Option<ExitPathId>>> {
         match self.group {
             Some(g) => g.vector_orbit(bv),
@@ -539,15 +777,22 @@ impl<'a> Scheme for FlatScheme<'a> {
         }
     }
 
-    fn metrics(&self, engine: &SyncEngine) -> Metrics {
-        engine.metrics()
+    fn metrics(&self, w: &FlatWorker) -> Metrics {
+        w.engine.metrics()
     }
 }
 
 /// The search for any [`SweepEngine`]. Frontier states are engine
-/// clones, so there is no separate expansion engine to restore.
+/// clones, so there is no separate expansion engine to restore; a
+/// worker's engine is just the scratch buffer branch keys are built in.
 struct SweepScheme<E> {
     initial: E,
+}
+
+/// A sweep successor that survived the pre-filter.
+struct SweepFresh<E> {
+    key: FlatKey,
+    next: E,
 }
 
 /// Per-router encodings laid end to end, with the end offset of each
@@ -574,10 +819,16 @@ impl RouterWords {
     }
 }
 
-/// The key of the successor that installs `updated` for the routers in
-/// `branch` (ascending) and keeps `current` everywhere else.
-fn branch_key(current: &RouterWords, updated: &RouterWords, branch: &[RouterId]) -> FlatKey {
-    let mut words = Vec::with_capacity(current.words.len().max(updated.words.len()));
+/// Write into `out` the key of the successor that installs `updated` for
+/// the routers in `branch` (ascending) and keeps `current` everywhere
+/// else.
+fn branch_words(
+    current: &RouterWords,
+    updated: &RouterWords,
+    branch: &[RouterId],
+    out: &mut Vec<u32>,
+) {
+    out.clear();
     let mut members = branch.iter().map(|r| r.index()).peekable();
     for u in 0..current.ends.len() {
         let source = if members.next_if_eq(&u).is_some() {
@@ -585,34 +836,34 @@ fn branch_key(current: &RouterWords, updated: &RouterWords, branch: &[RouterId])
         } else {
             current
         };
-        words.extend_from_slice(source.router(u));
+        out.extend_from_slice(source.router(u));
     }
-    FlatKey::new(words.into_boxed_slice())
 }
 
 impl<E: SweepEngine + Send + Sync> Scheme for SweepScheme<E> {
-    type Key = FlatKey;
-    type Engine = ();
+    type Engine = Vec<u32>;
     type Snapshot = E;
+    type Fresh = SweepFresh<E>;
 
-    fn engine(&self) {}
+    fn engine(&self) -> Vec<u32> {
+        Vec::new()
+    }
 
-    fn initial(&self, _engine: &mut ()) -> Option<(FlatKey, E, u64)> {
+    fn initial(&self, _scratch: &mut Vec<u32>) -> Option<SweepFresh<E>> {
         let words = RouterWords::of::<E>(self.initial.nodes()).words;
-        Some((
-            FlatKey::new(words.into_boxed_slice()),
-            self.initial.clone(),
-            1,
-        ))
+        Some(SweepFresh {
+            key: FlatKey::new(words.into_boxed_slice()),
+            next: self.initial.clone(),
+        })
     }
 
     fn expand_unit(
         &self,
-        _engine: &mut (),
+        scratch: &mut Vec<u32>,
         snap: &E,
         branches: &[Vec<RouterId>],
-        visited: &Visited<FlatKey>,
-    ) -> UnitOutcome<FlatKey, E> {
+        visited: &Visited,
+    ) -> UnitOutcome<SweepFresh<E>> {
         // One sweep serves the fixed-point test and every branch.
         let updates = snap.update_all();
         let current = RouterWords::of::<E>(snap.nodes());
@@ -624,11 +875,14 @@ impl<E: SweepEngine + Send + Sync> Scheme for SweepScheme<E> {
         }
         let mut fresh = Vec::new();
         for branch in branches {
-            let key = branch_key(&current, &updated, branch);
-            if !visited.contains(&key) {
+            branch_words(&current, &updated, branch, scratch);
+            if !visited.contains(hash_words(scratch), scratch) {
                 let mut next = snap.clone();
                 next.apply(branch, &updates);
-                fresh.push((key, next, 1));
+                fresh.push(SweepFresh {
+                    key: FlatKey::new(scratch.as_slice().into()),
+                    next,
+                });
             }
         }
         UnitOutcome::Expanded {
@@ -637,26 +891,34 @@ impl<E: SweepEngine + Send + Sync> Scheme for SweepScheme<E> {
             ample: false,
         }
     }
+
+    fn key<'f>(&self, fresh: &'f SweepFresh<E>) -> (Probe<'f>, u64) {
+        (Probe::from(&fresh.key), 1)
+    }
+
+    fn admit(&self, fresh: SweepFresh<E>) -> E {
+        fresh.next
+    }
 }
 
-/// One worker handoff: a slice of the frontier plus a shared handle on
-/// the frozen visited set (returned with the results so the coordinator
-/// can reclaim unique ownership between levels).
-struct Batch<K, T> {
-    /// Index of `units[0]` within the level's frontier.
+/// One worker handoff: a slice of a chunk plus a shared handle on the
+/// frozen visited set (returned with the results so the coordinator can
+/// reclaim unique ownership between chunks).
+struct Batch<T> {
+    /// Index of `units[0]` within the chunk.
     base: usize,
     units: Vec<T>,
-    visited: Arc<Visited<K>>,
+    visited: Arc<Visited>,
 }
 
 /// Messages from workers to the coordinator.
-enum WorkerMsg<K, T> {
+enum WorkerMsg<F> {
     /// Outcomes of one batch, in unit order, plus the returned visited
     /// handle.
     Batch {
         base: usize,
-        outcomes: Vec<UnitOutcome<K, T>>,
-        visited: Arc<Visited<K>>,
+        outcomes: Vec<UnitOutcome<F>>,
+        visited: Arc<Visited>,
     },
     /// Final engine counters, sent once when the worker shuts down.
     Done(Metrics),
@@ -689,6 +951,10 @@ struct Progress {
     /// Frontier states fully expanded (the POR conservative fallback;
     /// counts every expansion when POR is off).
     por_full: u64,
+    /// Coordinator wall clock waiting for chunk expansions, and merging
+    /// them.
+    expand_nanos: u64,
+    merge_nanos: u64,
 }
 
 /// The limits and initial-state accounting a `drive` run starts from.
@@ -702,18 +968,89 @@ struct DriveStart {
     initial_orbit: u64,
 }
 
-/// Reclaim unique ownership of the visited set between levels. Panics if
-/// any worker still holds a clone — which would be a protocol bug, since
-/// every batch handle is shipped back with its results.
-fn owned<K: SearchKey>(v: &mut Arc<Visited<K>>) -> &mut Visited<K> {
-    Arc::get_mut(v).expect("level over: all clones returned")
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Run the level loop: expand each frontier via `expand`, then merge the
-/// outcomes in canonical (frontier index, branch index) order. This merge
-/// is the single place dedup, the state cap, the byte budget, and
-/// stable-vector discovery happen, which is what makes the result
-/// independent of how `expand` schedules the per-unit work.
+/// Reclaim unique ownership of the visited set between chunks. Panics if
+/// any worker still holds a clone — which would be a protocol bug, since
+/// every batch handle is shipped back with its results.
+fn owned(v: &mut Arc<Visited>) -> &mut Visited {
+    Arc::get_mut(v).expect("chunk over: all clones returned")
+}
+
+/// Merge one chunk's outcomes in canonical (unit, branch) order: dedup
+/// into the visited set, count states, check the cap and the byte
+/// budget, collect stable vectors, and queue admitted successors for
+/// the next level. Returns whether a budget stopped the search.
+fn merge<S: Scheme>(
+    scheme: &S,
+    p: &mut Progress,
+    visited: &mut Visited,
+    outcomes: Vec<UnitOutcome<S::Fresh>>,
+    next: &mut Vec<S::Snapshot>,
+    max_states: usize,
+    max_bytes: Option<usize>,
+) -> bool {
+    for outcome in outcomes {
+        match outcome {
+            // Expand the representative's fixed point through the
+            // group: the plain search would have found every image.
+            UnitOutcome::Stable(bv) => {
+                for img in scheme.vector_orbit(&bv) {
+                    if !p.stable_vectors.contains(&img) {
+                        p.stable_vectors.push(img);
+                    }
+                }
+            }
+            UnitOutcome::Expanded { fresh, ample, .. } => {
+                if ample {
+                    p.por_ample += 1;
+                } else {
+                    p.por_full += 1;
+                }
+                for f in fresh {
+                    let (key, orbit) = scheme.key(&f);
+                    let Inserted::New { bytes, collision } = visited.insert(&key) else {
+                        continue;
+                    };
+                    p.states += 1;
+                    p.orbit_states += orbit;
+                    if collision {
+                        p.collisions += 1;
+                    }
+                    p.bytes += bytes;
+                    p.peak_bytes = p.peak_bytes.max(p.bytes);
+                    if p.states > max_states {
+                        p.stop = StopReason::StateCap(max_states);
+                        return true;
+                    }
+                    if let Some(budget) = max_bytes {
+                        if p.bytes > budget && p.compactions == 0 {
+                            p.bytes = visited.compact();
+                            p.compactions = 1;
+                            p.peak_bytes = p.peak_bytes.max(p.bytes);
+                        }
+                        if p.bytes > budget {
+                            p.stop = StopReason::MemoryBudget(budget);
+                            return true;
+                        }
+                    }
+                    next.push(scheme.admit(f));
+                }
+            }
+        }
+    }
+    false
+}
+
+/// Run the level loop: take each frontier in chunks of `chunk_len`
+/// states, expand a chunk via `expand`, then [`merge`] its outcomes
+/// before the next chunk starts. The merge is the single place dedup,
+/// the state cap, the byte budget, and stable-vector discovery happen,
+/// which is what makes the result independent of how `expand` schedules
+/// the per-unit work — and, because the pre-filter only drops what the
+/// merge would reject, of `chunk_len` too.
 ///
 /// `expand` reads the visited set through the shared `Arc`; it must have
 /// dropped every clone by the time it returns, because the merge reclaims
@@ -721,13 +1058,12 @@ fn owned<K: SearchKey>(v: &mut Arc<Visited<K>>) -> &mut Visited<K> {
 fn drive<S: Scheme>(
     scheme: &S,
     mut frontier: Vec<S::Snapshot>,
-    visited: &mut Arc<Visited<S::Key>>,
+    visited: &mut Arc<Visited>,
     start: DriveStart,
-    mut expand: impl FnMut(
-        Vec<S::Snapshot>,
-        &Arc<Visited<S::Key>>,
-    ) -> Vec<UnitOutcome<S::Key, S::Snapshot>>,
+    chunk_len: usize,
+    mut expand: impl FnMut(Vec<S::Snapshot>, &Arc<Visited>) -> Vec<UnitOutcome<S::Fresh>>,
 ) -> Progress {
+    assert!(chunk_len > 0, "chunks hold at least one state");
     let DriveStart {
         max_states,
         max_bytes,
@@ -750,6 +1086,8 @@ fn drive<S: Scheme>(
         compactions: 0,
         por_ample: 0,
         por_full: 0,
+        expand_nanos: 0,
+        merge_nanos: 0,
     };
     // A budget smaller than the initial state compacts (and possibly
     // stops) immediately — deterministic, like every later breach.
@@ -765,76 +1103,48 @@ fn drive<S: Scheme>(
     }
     let mut depth = 0u64;
     'levels: while !frontier.is_empty() {
-        // Deadline check sits at the level boundary: every state of a
-        // level either all expands or none does, which keeps the stop
-        // point coarse but the visited prefix well-defined — and makes
-        // an already-expired deadline stop before the first expansion,
-        // deterministically.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            p.stop = StopReason::Deadline;
-            break 'levels;
-        }
-        p.units += frontier.len() as u64;
-        let outcomes = expand(std::mem::take(&mut frontier), visited);
-        // Soundness scan first: whether any unit flagged is a pure
-        // function of the (deterministic) level contents, so the restart
-        // decision is schedule-independent.
-        if outcomes
-            .iter()
-            .any(|o| matches!(o, UnitOutcome::Expanded { unsound: true, .. }))
-        {
-            p.unsound = true;
-            break 'levels;
-        }
         let mut next = Vec::new();
-        for outcome in outcomes {
-            match outcome {
-                // Expand the representative's fixed point through the
-                // group: the plain search would have found every image.
-                UnitOutcome::Stable(bv) => {
-                    for img in scheme.vector_orbit(&bv) {
-                        if !p.stable_vectors.contains(&img) {
-                            p.stable_vectors.push(img);
-                        }
-                    }
-                }
-                UnitOutcome::Expanded { fresh, ample, .. } => {
-                    if ample {
-                        p.por_ample += 1;
-                    } else {
-                        p.por_full += 1;
-                    }
-                    for (key, snap, orbit) in fresh {
-                        match owned(visited).insert(key) {
-                            Inserted::Seen => {}
-                            Inserted::New { bytes, collision } => {
-                                p.states += 1;
-                                p.orbit_states += orbit;
-                                if collision {
-                                    p.collisions += 1;
-                                }
-                                p.bytes += bytes;
-                                p.peak_bytes = p.peak_bytes.max(p.bytes);
-                                if p.states > max_states {
-                                    p.stop = StopReason::StateCap(max_states);
-                                    break 'levels;
-                                }
-                                if let Some(budget) = max_bytes {
-                                    if p.bytes > budget && p.compactions == 0 {
-                                        p.bytes = owned(visited).compact();
-                                        p.compactions = 1;
-                                        p.peak_bytes = p.peak_bytes.max(p.bytes);
-                                    }
-                                    if p.bytes > budget {
-                                        p.stop = StopReason::MemoryBudget(budget);
-                                        break 'levels;
-                                    }
-                                }
-                                next.push(snap);
-                            }
-                        }
-                    }
-                }
+        let mut pending = std::mem::take(&mut frontier).into_iter();
+        loop {
+            let chunk: Vec<S::Snapshot> = pending.by_ref().take(chunk_len).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            // Deadline check before every chunk: the visited prefix is
+            // always whole chunks in canonical order, and an
+            // already-expired deadline stops before the first expansion,
+            // deterministically.
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                p.stop = StopReason::Deadline;
+                break 'levels;
+            }
+            p.units += chunk.len() as u64;
+            let expanding = Instant::now();
+            let outcomes = expand(chunk, visited);
+            let merging = Instant::now();
+            p.expand_nanos += nanos(merging - expanding);
+            // Soundness scan first: whether any unit flagged is a pure
+            // function of the (deterministic) chunk contents, so the
+            // restart decision is schedule-independent.
+            if outcomes
+                .iter()
+                .any(|o| matches!(o, UnitOutcome::Expanded { unsound: true, .. }))
+            {
+                p.unsound = true;
+                break 'levels;
+            }
+            let stopped = merge(
+                scheme,
+                &mut p,
+                owned(visited),
+                outcomes,
+                &mut next,
+                max_states,
+                max_bytes,
+            );
+            p.merge_nanos += nanos(merging.elapsed());
+            if stopped {
+                break 'levels;
             }
         }
         if !next.is_empty() {
@@ -848,7 +1158,7 @@ fn drive<S: Scheme>(
 }
 
 /// A finished search: the merged bookkeeping, the summed engine
-/// counters, and the visited set's peak shard occupancy.
+/// counters, and the visited set's peak stripe occupancy.
 struct Found {
     progress: Progress,
     engine_metrics: Metrics,
@@ -863,18 +1173,17 @@ fn run_search<S: Scheme>(
     options: &ExploreOptions,
     jobs: usize,
     branches: &[Vec<RouterId>],
+    chunk_len: usize,
 ) -> Option<Found> {
-    let mut visited = Arc::new(Visited::<S::Key>::new());
+    let mut visited = Arc::new(Visited::new());
     let mut engine = scheme.engine();
-    let (init_key, init_snapshot, init_orbit) = scheme.initial(&mut engine)?;
-    let init_bytes = match Arc::get_mut(&mut visited)
-        .expect("freshly created")
-        .insert(init_key)
-    {
+    let init = scheme.initial(&mut engine)?;
+    let (key, init_orbit) = scheme.key(&init);
+    let init_bytes = match owned(&mut visited).insert(&key) {
         Inserted::New { bytes, .. } => bytes,
         Inserted::Seen => 0,
     };
-    let frontier = vec![init_snapshot];
+    let frontier = vec![scheme.admit(init)];
     let start = DriveStart {
         max_states: options.max_states,
         max_bytes: options.max_bytes,
@@ -884,18 +1193,25 @@ fn run_search<S: Scheme>(
     };
 
     let (progress, engine_metrics) = if jobs <= 1 {
-        let p = drive(scheme, frontier, &mut visited, start, |units, visited| {
-            units
-                .iter()
-                .map(|snap| scheme.expand_unit(&mut engine, snap, branches, visited))
-                .collect()
-        });
+        let p = drive(
+            scheme,
+            frontier,
+            &mut visited,
+            start,
+            chunk_len,
+            |units, visited| {
+                units
+                    .iter()
+                    .map(|snap| scheme.expand_unit(&mut engine, snap, branches, visited))
+                    .collect()
+            },
+        );
         (p, scheme.metrics(&engine))
     } else {
         std::thread::scope(|scope| {
-            let (work_tx, work_rx) = mpsc::channel::<Batch<S::Key, S::Snapshot>>();
+            let (work_tx, work_rx) = mpsc::channel::<Batch<S::Snapshot>>();
             let work_rx = Arc::new(Mutex::new(work_rx));
-            let (res_tx, res_rx) = mpsc::channel::<WorkerMsg<S::Key, S::Snapshot>>();
+            let (res_tx, res_rx) = mpsc::channel::<WorkerMsg<S::Fresh>>();
             for _ in 0..jobs {
                 let work_rx = Arc::clone(&work_rx);
                 let res_tx = res_tx.clone();
@@ -917,7 +1233,7 @@ fn run_search<S: Scheme>(
                             .map(|snap| scheme.expand_unit(&mut engine, snap, branches, &visited))
                             .collect();
                         // Ship the visited handle back with the results:
-                        // once the coordinator has drained the level, it
+                        // once the coordinator has drained the chunk, it
                         // holds the only reference again.
                         if res_tx
                             .send(WorkerMsg::Batch {
@@ -935,54 +1251,61 @@ fn run_search<S: Scheme>(
             }
             drop(res_tx);
 
-            let p = drive(scheme, frontier, &mut visited, start, |units, visited| {
-                let len = units.len();
-                // Batches amortize the channel and queue-lock traffic;
-                // several batches per worker keep the level balanced
-                // when unit costs vary.
-                let batch_size = len.div_ceil(jobs * 4).clamp(1, MAX_BATCH);
-                let mut units = units.into_iter();
-                let mut base = 0usize;
-                while base < len {
-                    let chunk: Vec<S::Snapshot> = units.by_ref().take(batch_size).collect();
-                    let sent = chunk.len();
-                    work_tx
-                        .send(Batch {
-                            base,
-                            units: chunk,
-                            visited: Arc::clone(visited),
-                        })
-                        .expect("worker pool died");
-                    base += sent;
-                }
-                let mut outcomes: Vec<Option<UnitOutcome<S::Key, S::Snapshot>>> =
-                    std::iter::repeat_with(|| None).take(len).collect();
-                let mut received = 0usize;
-                while received < len {
-                    match res_rx.recv().expect("worker pool died") {
-                        WorkerMsg::Batch {
-                            base,
-                            outcomes: batch,
-                            visited,
-                        } => {
-                            // Drop the returned handle immediately so
-                            // the post-level `Arc::get_mut` succeeds.
-                            drop(visited);
-                            received += batch.len();
-                            for (i, out) in batch.into_iter().enumerate() {
-                                outcomes[base + i] = Some(out);
+            let p = drive(
+                scheme,
+                frontier,
+                &mut visited,
+                start,
+                chunk_len,
+                |units, visited| {
+                    let len = units.len();
+                    // Batches amortize the channel and queue-lock
+                    // traffic; several batches per worker keep the chunk
+                    // balanced when unit costs vary.
+                    let batch_size = len.div_ceil(jobs * 4).clamp(1, MAX_BATCH);
+                    let mut units = units.into_iter();
+                    let mut base = 0usize;
+                    while base < len {
+                        let batch: Vec<S::Snapshot> = units.by_ref().take(batch_size).collect();
+                        let sent = batch.len();
+                        work_tx
+                            .send(Batch {
+                                base,
+                                units: batch,
+                                visited: Arc::clone(visited),
+                            })
+                            .expect("worker pool died");
+                        base += sent;
+                    }
+                    let mut outcomes: Vec<Option<UnitOutcome<S::Fresh>>> =
+                        std::iter::repeat_with(|| None).take(len).collect();
+                    let mut received = 0usize;
+                    while received < len {
+                        match res_rx.recv().expect("worker pool died") {
+                            WorkerMsg::Batch {
+                                base,
+                                outcomes: batch,
+                                visited,
+                            } => {
+                                // Drop the returned handle immediately so
+                                // the merge's `Arc::get_mut` succeeds.
+                                drop(visited);
+                                received += batch.len();
+                                for (i, out) in batch.into_iter().enumerate() {
+                                    outcomes[base + i] = Some(out);
+                                }
+                            }
+                            WorkerMsg::Done(_) => {
+                                unreachable!("workers outlive the work channel")
                             }
                         }
-                        WorkerMsg::Done(_) => {
-                            unreachable!("workers outlive the work channel")
-                        }
                     }
-                }
-                outcomes
-                    .into_iter()
-                    .map(|o| o.expect("every unit reports exactly once"))
-                    .collect()
-            });
+                    outcomes
+                        .into_iter()
+                        .map(|o| o.expect("every unit reports exactly once"))
+                        .collect()
+                },
+            );
 
             // Closing the work channel tells each worker to report its
             // counters and exit; the merge is a commutative sum, so the
@@ -1024,6 +1347,17 @@ pub(crate) fn search(
     exits: Vec<ExitPathRef>,
     options: &ExploreOptions,
 ) -> Reachability {
+    search_chunked(topo, config, exits, options, CHUNK_LEN)
+}
+
+/// [`search`] at an explicit chunk length.
+fn search_chunked(
+    topo: &Topology,
+    config: ProtocolConfig,
+    exits: Vec<ExitPathRef>,
+    options: &ExploreOptions,
+    chunk_len: usize,
+) -> Reachability {
     let started = Instant::now();
     if options.loop_prevention {
         // The reflection-attribute words live only in the legacy state
@@ -1034,9 +1368,9 @@ pub(crate) fn search(
         legacy.flat = false;
         legacy.symmetry = false;
         legacy.por = false;
-        return search_inner(topo, config, exits, &legacy, started);
+        return search_inner(topo, config, exits, &legacy, started, chunk_len);
     }
-    search_inner(topo, config, exits, options, started)
+    search_inner(topo, config, exits, options, started, chunk_len)
 }
 
 /// The search behind [`crate::reachability::explore_sweep`].
@@ -1053,7 +1387,7 @@ pub(crate) fn sweep_search<E: SweepEngine + Send + Sync>(
     plain.por = false;
     let jobs = plain.effective_jobs();
     let branches = branch_sets(initial.nodes().len());
-    let found = run_search(&SweepScheme { initial }, &plain, jobs, &branches)
+    let found = run_search(&SweepScheme { initial }, &plain, jobs, &branches, CHUNK_LEN)
         .expect("the guard only fires under symmetry");
     report(found, &plain, jobs, None, started)
 }
@@ -1068,10 +1402,11 @@ fn fallback_without_symmetry(
     exits: Vec<ExitPathRef>,
     options: &ExploreOptions,
     started: Instant,
+    chunk_len: usize,
 ) -> Reachability {
     let mut plain = options.clone();
     plain.symmetry = false;
-    let mut r = search_inner(topo, config, exits, &plain, started);
+    let mut r = search_inner(topo, config, exits, &plain, started, chunk_len);
     r.metrics.group_order = 1;
     r.metrics.orbit_states = r.metrics.states_visited;
     r
@@ -1083,6 +1418,7 @@ fn search_inner(
     exits: Vec<ExitPathRef>,
     options: &ExploreOptions,
     started: Instant,
+    chunk_len: usize,
 ) -> Reachability {
     let jobs = options.effective_jobs();
 
@@ -1112,19 +1448,19 @@ fn search_inner(
             action,
             por: options.por,
         };
-        run_search(&scheme, options, jobs, &branches)
+        run_search(&scheme, options, jobs, &branches, chunk_len)
     } else {
         let scheme = LegacyScheme {
             setup,
             group,
             por: options.por,
         };
-        run_search(&scheme, options, jobs, &branches)
+        run_search(&scheme, options, jobs, &branches, chunk_len)
     };
 
     match found {
         Some(found) => report(found, options, jobs, group_storage.as_ref(), started),
-        None => fallback_without_symmetry(topo, config, exits, options, started),
+        None => fallback_without_symmetry(topo, config, exits, options, started, chunk_len),
     }
 }
 
@@ -1146,7 +1482,9 @@ fn report(
     } = found;
     let mut metrics = engine_metrics;
     metrics.states_visited = progress.states as u64;
-    metrics.elapsed_nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    metrics.elapsed_nanos = nanos(started.elapsed());
+    metrics.expand_nanos = progress.expand_nanos;
+    metrics.merge_nanos = progress.merge_nanos;
     metrics.frontier_depth = progress.frontier_depth;
     metrics.peak_queue = progress.peak_queue;
     metrics.workers = jobs as u64;
@@ -1180,5 +1518,255 @@ fn report(
         stop: progress.stop,
         metrics,
         origin: ibgp_types::VerdictOrigin::Search,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ibgp_topology::TopologyBuilder;
+    use ibgp_types::{AsId, ExitPath, Med};
+
+    fn exit(id: u32, exit_point: u32) -> ExitPathRef {
+        Arc::new(
+            ExitPath::builder(ExitPathId::new(id))
+                .via(AsId::new(1))
+                .med(Med::new(0))
+                .exit_point(RouterId::new(exit_point))
+                .build_unchecked(),
+        )
+    }
+
+    /// Five routers in two clusters: a few thousand reachable states, so
+    /// every level past the first few spans many short chunks.
+    fn two_clusters() -> (Topology, Vec<ExitPathRef>) {
+        let topo = TopologyBuilder::new(5)
+            .link(0, 2, 10)
+            .link(0, 3, 1)
+            .link(1, 3, 10)
+            .link(1, 2, 1)
+            .link(2, 4, 2)
+            .link(3, 4, 3)
+            .cluster([0], [2, 4])
+            .cluster([1], [3])
+            .build()
+            .unwrap();
+        (topo, vec![exit(1, 2), exit(2, 3), exit(3, 4)])
+    }
+
+    /// Fig 13's rotation: three reflector/client clusters in a cost
+    /// cycle — a group of order 3.
+    fn rotation() -> (Topology, Vec<ExitPathRef>) {
+        let costs = [[2u64, 1, 3], [3, 2, 1], [1, 3, 2]];
+        let mut b = TopologyBuilder::new(6);
+        for (i, row) in costs.iter().enumerate() {
+            for (j, &c) in row.iter().enumerate() {
+                b = b.link(i as u32, 3 + j as u32, c);
+            }
+        }
+        let topo = b
+            .cluster([0], [3])
+            .cluster([1], [4])
+            .cluster([2], [5])
+            .build()
+            .unwrap();
+        (topo, vec![exit(1, 3), exit(2, 4), exit(3, 5)])
+    }
+
+    /// One chunk per level: the whole-level merge of earlier versions.
+    const WHOLE_LEVEL: usize = usize::MAX;
+
+    fn assert_same_search(got: &Reachability, want: &Reachability, label: &str) {
+        assert_eq!(got.states, want.states, "{label}: states");
+        assert_eq!(got.stop, want.stop, "{label}: stop");
+        assert_eq!(got.stable_vectors, want.stable_vectors, "{label}: stable");
+        let (g, w) = (&got.metrics, &want.metrics);
+        assert_eq!(g.frontier_depth, w.frontier_depth, "{label}: depth");
+        assert_eq!(g.peak_queue, w.peak_queue, "{label}: peak queue");
+        assert_eq!(g.group_order, w.group_order, "{label}: group order");
+        assert_eq!(g.orbit_states, w.orbit_states, "{label}: orbit states");
+        if want.complete {
+            assert_eq!(g.activations, w.activations, "{label}: activations");
+            assert_eq!(g.messages, w.messages, "{label}: messages");
+            assert_eq!(
+                g.paths_advertised, w.paths_advertised,
+                "{label}: paths advertised"
+            );
+            assert_eq!(g.best_changes, w.best_changes, "{label}: best changes");
+            assert_eq!(g.por_ample, w.por_ample, "{label}: ample expansions");
+            assert_eq!(g.por_full, w.por_full, "{label}: full expansions");
+        }
+    }
+
+    /// The chunk length is invisible in a search's evidence: states,
+    /// stop, stable vectors, frontier depth and peak queue match the
+    /// whole-level merge at chunk lengths 1, 2 and 3 — capped searches
+    /// included, where the cap fires inside a level spanning many chunks
+    /// — and complete searches do the same engine work too.
+    #[test]
+    fn chunk_length_never_changes_the_search() {
+        let (topo, exits) = two_clusters();
+        for config in [
+            ProtocolConfig::STANDARD,
+            ProtocolConfig::WALTON,
+            ProtocolConfig::MODIFIED,
+        ] {
+            for cap in [500_000, 9, 150] {
+                for (flat, por) in [(true, false), (false, false), (true, true)] {
+                    let opts = ExploreOptions::new()
+                        .max_states(cap)
+                        .flat_encoding(flat)
+                        .por(por);
+                    let whole = search_chunked(&topo, config, exits.clone(), &opts, WHOLE_LEVEL);
+                    assert!(whole.metrics.peak_queue > 3, "levels span several chunks");
+                    for chunk in [1, 2, 3] {
+                        for jobs in [1, 2] {
+                            let got = search_chunked(
+                                &topo,
+                                config,
+                                exits.clone(),
+                                &opts.clone().jobs(jobs),
+                                chunk,
+                            );
+                            let label = format!(
+                                "{config:?} cap {cap} flat {flat} por {por} chunk {chunk} jobs {jobs}"
+                            );
+                            assert_same_search(&got, &whole, &label);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Complete symmetric searches keep the group and the orbit count at
+    /// every chunk length.
+    #[test]
+    fn chunk_length_never_changes_a_symmetric_search() {
+        let (topo, exits) = rotation();
+        for flat in [true, false] {
+            let opts = ExploreOptions::new().symmetry(true).flat_encoding(flat);
+            let whole = search_chunked(
+                &topo,
+                ProtocolConfig::STANDARD,
+                exits.clone(),
+                &opts,
+                WHOLE_LEVEL,
+            );
+            assert!(whole.complete);
+            assert_eq!(whole.metrics.group_order, 3);
+            assert!(whole.metrics.peak_queue > 3, "levels span several chunks");
+            for chunk in [1, 2, 3] {
+                let got =
+                    search_chunked(&topo, ProtocolConfig::STANDARD, exits.clone(), &opts, chunk);
+                assert_same_search(&got, &whole, &format!("flat {flat} chunk {chunk}"));
+            }
+        }
+    }
+
+    fn probe(digest: u64, words: &[u32]) -> Probe<'_> {
+        Probe {
+            digest,
+            words,
+            bytes: 100,
+        }
+    }
+
+    /// Keys that share one digest keep exact membership; every key after
+    /// the first under that digest is a counted collision, charged no
+    /// entry overhead.
+    #[test]
+    fn constant_digest_keeps_exact_membership_and_counts_collisions() {
+        let mut v = Visited::new();
+        let keys: Vec<[u32; 2]> = (0..40).map(|i| [i, i * 7]).collect();
+        for (i, k) in keys.iter().enumerate() {
+            match v.insert(&probe(7, k)) {
+                Inserted::New { bytes, collision } => {
+                    assert_eq!(collision, i > 0, "key {i}");
+                    assert_eq!(bytes, if i > 0 { 100 } else { 100 + ENTRY_OVERHEAD });
+                }
+                Inserted::Seen => panic!("key {i} is new"),
+            }
+        }
+        for k in &keys {
+            assert!(v.contains(7, k));
+            assert!(matches!(v.insert(&probe(7, k)), Inserted::Seen));
+        }
+        assert!(!v.contains(7, &[99, 99]));
+        assert!(
+            !v.contains(8, &keys[0]),
+            "a different digest is a different key"
+        );
+        assert_eq!(v.peak_shard(), 40, "one stripe holds every key");
+    }
+
+    /// Compaction keeps one digest-only entry per distinct digest,
+    /// accounted at `DIGEST_ENTRY_BYTES` each; afterwards a digest match
+    /// is membership.
+    #[test]
+    fn compaction_keeps_one_entry_per_digest() {
+        let mut v = Visited::new();
+        for (digest, words) in [(1, [1u32]), (1, [2]), (2, [3]), (65, [4]), (3, [5])] {
+            assert!(matches!(
+                v.insert(&probe(digest, &words)),
+                Inserted::New { .. }
+            ));
+        }
+        // Digests 1 and 65 share a stripe; 1 holds two keys.
+        assert_eq!(v.peak_shard(), 3);
+        assert_eq!(v.compact(), 4 * DIGEST_ENTRY_BYTES);
+        assert_eq!(v.peak_shard(), 2);
+        assert!(v.contains(1, &[42]), "digest-only: conflated");
+        assert!(matches!(v.insert(&probe(2, &[77])), Inserted::Seen));
+        match v.insert(&probe(4, &[6])) {
+            Inserted::New { bytes, collision } => {
+                assert_eq!(bytes, DIGEST_ENTRY_BYTES);
+                assert!(!collision);
+            }
+            Inserted::Seen => panic!("digest 4 is new"),
+        }
+    }
+
+    /// Variable-length keys stored back to back stay distinct: the
+    /// length word keeps `[1,2]+[3]` from reading as `[1]+[2,3]` or as
+    /// `[1,2,3]`.
+    #[test]
+    fn variable_length_keys_stay_distinct() {
+        let mut v = Visited::new();
+        for key in [&[1u32, 2][..], &[3]] {
+            assert!(matches!(v.insert(&probe(5, key)), Inserted::New { .. }));
+        }
+        assert!(!v.contains(5, &[1, 2, 3]));
+        assert!(!v.contains(5, &[1]));
+        assert!(!v.contains(5, &[2, 3]));
+        for key in [&[1u32][..], &[2, 3]] {
+            assert!(matches!(v.insert(&probe(5, key)), Inserted::New { .. }));
+        }
+        for key in [&[1u32, 2][..], &[3], &[1], &[2, 3]] {
+            assert!(v.contains(5, key));
+        }
+    }
+
+    /// Keys spill across arena pages (and a key longer than a page gets
+    /// one of its own) without losing membership; stripes grow on their
+    /// own.
+    #[test]
+    fn keys_spanning_many_pages_stay_members() {
+        let mut v = Visited::new();
+        let keys: Vec<Vec<u32>> = (0..50_000u32).map(|i| vec![i, i ^ 0x55, 3]).collect();
+        let long = vec![9u32; PAGE_WORDS + 10];
+        for k in keys.iter().chain([&long]) {
+            assert!(matches!(
+                v.insert(&probe(hash_words(k), k)),
+                Inserted::New { .. }
+            ));
+        }
+        assert!(v.arena.pages.len() > 2);
+        for k in keys.iter().chain([&long]) {
+            assert!(v.contains(hash_words(k), k));
+        }
+        assert!(!v.contains(hash_words(&[1, 2, 3]), &[1, 2, 3]));
+        let total: usize = v.stripes.iter().map(|s| s.len).sum();
+        assert_eq!(total, keys.len() + 1);
     }
 }

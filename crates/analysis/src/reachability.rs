@@ -169,10 +169,11 @@ impl ExploreOptions {
     }
 
     /// Stop the search once this wall-clock instant passes, reporting
-    /// [`StopReason::Deadline`]. The deadline is checked between BFS
-    /// levels, so an already-expired deadline stops deterministically
-    /// after visiting only the initial state. `None` (the default) means
-    /// no deadline.
+    /// [`StopReason::Deadline`]. The deadline is checked before every
+    /// chunk of frontier states the search expands, so the visited prefix
+    /// is always whole chunks in canonical order and an already-expired
+    /// deadline stops deterministically after visiting only the initial
+    /// state. `None` (the default) means no deadline.
     pub fn deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self

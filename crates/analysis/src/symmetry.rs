@@ -32,7 +32,7 @@
 
 use ibgp_proto::variants::ProtocolConfig;
 use ibgp_proto::MedMode;
-use ibgp_sim::flat::{FlatKey, StateCodec};
+use ibgp_sim::flat::StateCodec;
 use ibgp_sim::signature::{NodeStateKey, StateKey};
 use ibgp_topology::{canon, Topology};
 use ibgp_types::{ExitPathId, ExitPathRef, RouterId};
@@ -301,9 +301,10 @@ impl SymmetryGroup {
     }
 }
 
-/// The same group, compiled to act directly on [`FlatKey`]s: per element
-/// a router-block permutation plus an exit *bit-position* permutation,
-/// applied by remapping set bits — no id lookups, no `Vec` churn.
+/// The same group, compiled to act directly on flat key words
+/// ([`ibgp_sim::FlatKey`]): per element a router-block permutation plus
+/// an exit *bit-position* permutation, applied by remapping set bits —
+/// no id lookups, no `Vec` churn.
 ///
 /// Canonicalization picks the word-lexicographic minimum of the orbit.
 /// That representative generally differs from the [`StateKey`]-order one
@@ -397,37 +398,38 @@ impl FlatAction {
         }
     }
 
-    /// The word-lexicographically minimal image of `key` under the
-    /// group, and the size of `key`'s orbit (orbit–stabilizer, same
-    /// counting as [`SymmetryGroup::canonical`]).
-    pub(crate) fn canonical(&self, key: &FlatKey) -> (FlatKey, u64) {
-        let src = key.words();
-        let mut img = vec![0u32; src.len()];
-        let mut best: Option<Vec<u32>> = None;
+    /// Write the word-lexicographically minimal image of `src` under the
+    /// group into `best` (with `image` as scratch) and return the size of
+    /// `src`'s orbit (orbit–stabilizer, same counting as
+    /// [`SymmetryGroup::canonical`]). Both buffers are the caller's, so a
+    /// successor the visited set rejects is never copied out of them.
+    pub(crate) fn canonical_into(
+        &self,
+        src: &[u32],
+        best: &mut Vec<u32>,
+        image: &mut Vec<u32>,
+    ) -> u64 {
+        image.resize(src.len(), 0);
         let mut stabilizer = 0u64;
         for element in 0..self.elements.len() {
-            self.apply(element, src, &mut img);
-            if img[..] == *src {
+            self.apply(element, src, image);
+            if image[..] == *src {
                 stabilizer += 1;
             }
-            if best.as_ref().is_none_or(|b| img < *b) {
-                best = Some(img.clone());
+            if element == 0 || image[..] < best[..] {
+                best.clear();
+                best.extend_from_slice(image);
             }
         }
-        let best = best.expect("group has at least the identity");
-        (
-            FlatKey::new(best.into_boxed_slice()),
-            self.order / stabilizer.max(1),
-        )
+        self.order / stabilizer.max(1)
     }
 
     /// Flat-encoding twin of [`SymmetryGroup::guard_trips`]: does any
     /// router's `possible` bitmask contain a dangerous pair?
-    pub(crate) fn guard_trips(&self, key: &FlatKey) -> bool {
+    pub(crate) fn guard_trips(&self, words: &[u32]) -> bool {
         if !self.has_danger {
             return false;
         }
-        let words = key.words();
         (0..self.routers).any(|u| {
             let possible = &words[u * self.node_words..];
             self.dangerous[u]
@@ -633,26 +635,28 @@ mod tests {
                 phase: 0,
             },
         ];
+        let (mut canon, mut image) = (Vec::new(), Vec::new());
         for key in &keys {
             let flat = codec.encode_key(key);
             let (_, legacy_orbit) = g.canonical(key);
-            let (flat_canon, flat_orbit) = action.canonical(&flat);
+            let flat_orbit = action.canonical_into(flat.words(), &mut canon, &mut image);
+            let flat_canon = canon.clone();
             assert_eq!(flat_orbit, legacy_orbit, "orbit sizes agree");
             assert_eq!(
-                action.guard_trips(&flat),
+                action.guard_trips(flat.words()),
                 g.guard_trips(key),
                 "guards agree"
             );
             // Every legacy orbit-mate maps to the same flat canonical form.
             for el in &g.elements {
                 let mate = codec.encode_key(&el.apply_key(key));
-                let (mate_canon, mate_orbit) = action.canonical(&mate);
-                assert_eq!(mate_canon, flat_canon, "orbit-mates collapse");
+                let mate_orbit = action.canonical_into(mate.words(), &mut canon, &mut image);
+                assert_eq!(canon, flat_canon, "orbit-mates collapse");
                 assert_eq!(mate_orbit, flat_orbit);
             }
             // Round-trip sanity: the canonical form decodes to a key in
             // the legacy orbit of the original.
-            let decoded = codec.decode_key(&flat_canon);
+            let decoded = codec.decode_key(&ibgp_sim::FlatKey::new(flat_canon.into_boxed_slice()));
             assert!(
                 g.elements.iter().any(|el| el.apply_key(key) == decoded),
                 "flat canonical form is a member of the legacy orbit"

@@ -113,3 +113,30 @@ fn work_totals_do_not_scale_with_worker_count() {
         );
     }
 }
+
+/// The coordinator's wall clock splits into waiting for chunk
+/// expansions and merging them: both are spent on every search, and
+/// together they never exceed the search's own elapsed time — at one
+/// worker (in-thread expansion) and at eight (pool expansion) alike.
+#[test]
+fn expand_and_merge_split_the_coordinator_wall_clock() {
+    let (topo, exits) = instance();
+    for jobs in [1usize, 8] {
+        let r = explore(
+            &topo,
+            ProtocolConfig::STANDARD,
+            exits.clone(),
+            ExploreOptions::new().max_states(500_000).jobs(jobs),
+        );
+        let m = r.metrics;
+        assert!(m.expand_nanos > 0, "jobs={jobs}: expansion time recorded");
+        assert!(m.merge_nanos > 0, "jobs={jobs}: merge time recorded");
+        assert!(
+            m.expand_nanos + m.merge_nanos <= m.elapsed_nanos,
+            "jobs={jobs}: expand {} + merge {} ns exceed elapsed {} ns",
+            m.expand_nanos,
+            m.merge_nanos,
+            m.elapsed_nanos
+        );
+    }
+}

@@ -14,7 +14,7 @@
 //! kind reflection                 # reflection | confed | hierarchy
 //! protocol standard               # standard|walton|modified (reflection)
 //!                                 # single-best|set-advertisement (confed, hierarchy)
-//! routers 5
+//! routers 5                       # at most MAX_ROUTERS
 //! link U V COST                   # undirected physical link, repeated
 //! loop-prevention                 # reflection only: message-level
 //!                                 # ORIGINATOR_ID/CLUSTER_LIST/SSLD mechanics
@@ -24,7 +24,8 @@
 //! subas R...                      # confed: members of the next sub-AS id
 //! clink U V                       # confed: confed-E-BGP session
 //! hcluster ( r R... m M... )      # hierarchy: top-level cluster tree;
-//!                                 # a member M is a router id or a nested ( ... )
+//!                                 # a member M is a router id or a nested ( ... ),
+//!                                 # at most MAX_HCLUSTER_DEPTH levels deep
 //! exit ID at R as A len L med M pref P cost C
 //! ```
 //!
@@ -40,6 +41,17 @@ use std::fmt::Write as _;
 
 /// Current format version.
 pub const FORMAT_VERSION: u32 = 1;
+
+/// Largest `routers` value the parser accepts. Classification allocates
+/// per router (and per router pair for shortest paths), so an absurd
+/// count must fail as a parse error rather than abort the process on
+/// allocation — the daemon parses untrusted request bodies.
+pub(crate) const MAX_ROUTERS: usize = 1024;
+
+/// Deepest `hcluster` nesting the parser accepts: the tree is parsed
+/// and walked recursively, so unbounded nesting would overflow the
+/// stack of whichever thread reads it.
+pub(crate) const MAX_HCLUSTER_DEPTH: usize = 64;
 
 /// A parse failure, with the 1-based line it occurred on (0 for
 /// end-of-input / document-level errors).
@@ -249,10 +261,14 @@ pub fn parse(input: &str) -> Result<ScenarioSpec, FormatError> {
                 None => return err(ln, "`protocol` needs a value"),
             },
             "routers" => {
-                if routers
-                    .replace(num(toks.next(), ln, "router count")?)
-                    .is_some()
-                {
+                let count: usize = num(toks.next(), ln, "router count")?;
+                if count > MAX_ROUTERS {
+                    return err(
+                        ln,
+                        format!("router count {count} exceeds the limit of {MAX_ROUTERS}"),
+                    );
+                }
+                if routers.replace(count).is_some() {
                     return err(ln, "duplicate `routers` directive");
                 }
             }
@@ -314,7 +330,7 @@ pub fn parse(input: &str) -> Result<ScenarioSpec, FormatError> {
                 require_kind(&kind, "hcluster", &PendingKind::Hierarchy, ln)?;
                 let tokens: Vec<&str> = toks.by_ref().collect();
                 let mut pos = 0;
-                let c = parse_hcluster(&tokens, &mut pos, ln)?;
+                let c = parse_hcluster(&tokens, &mut pos, ln, 1)?;
                 if pos != tokens.len() {
                     return err(ln, "trailing tokens after hierarchy cluster");
                 }
@@ -502,9 +518,22 @@ fn parse_cluster_line<'a>(
     Ok((reflectors, clients))
 }
 
-fn parse_hcluster(tokens: &[&str], pos: &mut usize, ln: usize) -> Result<ClusterSpec, FormatError> {
+/// Parse one `( r ... m ... )` cluster at nesting `depth` (1 for a
+/// top-level cluster).
+fn parse_hcluster(
+    tokens: &[&str],
+    pos: &mut usize,
+    ln: usize,
+    depth: usize,
+) -> Result<ClusterSpec, FormatError> {
     if tokens.get(*pos) != Some(&"(") {
         return err(ln, "expected `(` opening a hierarchy cluster");
+    }
+    if depth > MAX_HCLUSTER_DEPTH {
+        return err(
+            ln,
+            format!("hierarchy clusters nested deeper than {MAX_HCLUSTER_DEPTH} levels"),
+        );
     }
     *pos += 1;
     if tokens.get(*pos) != Some(&"r") {
@@ -533,7 +562,9 @@ fn parse_hcluster(tokens: &[&str], pos: &mut usize, ln: usize) -> Result<Cluster
                     members,
                 });
             }
-            Some(&"(") => members.push(Member::Cluster(parse_hcluster(tokens, pos, ln)?)),
+            Some(&"(") => {
+                members.push(Member::Cluster(parse_hcluster(tokens, pos, ln, depth + 1)?))
+            }
             Some(t) => {
                 members.push(Member::Router(num(Some(t), ln, "member router id")?));
                 *pos += 1;
@@ -709,6 +740,45 @@ mod tests {
         let full = full.replacen("# leading comment\n\n", "", 1);
         let full = format!("# head\n\n{full}");
         assert_eq!(parse(&full).unwrap(), s);
+    }
+
+    /// A router count past the limit is a line-numbered parse error,
+    /// not an allocation the process cannot survive.
+    #[test]
+    fn absurd_router_counts_are_rejected() {
+        let head = "ibgp 1\nname x\nkind reflection\nprotocol standard\n";
+        let e = parse(&format!("{head}routers 3000000000\n")).unwrap_err();
+        assert_eq!(e.line, 5);
+        assert!(e.to_string().contains("exceeds the limit"), "{e}");
+        let e = parse(&format!("{head}routers {}\n", MAX_ROUTERS + 1)).unwrap_err();
+        assert_eq!(e.line, 5);
+        let at_limit = parse(&format!("{head}routers {MAX_ROUTERS}\n")).unwrap();
+        assert_eq!(at_limit.routers, MAX_ROUTERS);
+    }
+
+    /// `hcluster` nesting past the limit is a line-numbered parse error,
+    /// not a stack overflow; nesting at the limit parses.
+    #[test]
+    fn deep_hcluster_nesting_is_rejected() {
+        let nested = |depth: usize| {
+            format!(
+                "ibgp 1\nname x\nkind hierarchy\nprotocol single-best\nrouters 1\nhcluster {}{}\n",
+                "( r 0 m ".repeat(depth),
+                ") ".repeat(depth)
+            )
+        };
+        let e = parse(&nested(200_000)).unwrap_err();
+        assert_eq!(e.line, 6);
+        assert!(e.to_string().contains("nested deeper"), "{e}");
+        let e = parse(&nested(MAX_HCLUSTER_DEPTH + 1)).unwrap_err();
+        assert!(e.to_string().contains("nested deeper"), "{e}");
+        let spec = parse(&nested(MAX_HCLUSTER_DEPTH));
+        assert!(
+            spec.as_ref()
+                .err()
+                .is_none_or(|e| !e.to_string().contains("nested deeper")),
+            "{spec:?}"
+        );
     }
 
     #[test]

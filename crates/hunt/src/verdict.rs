@@ -54,7 +54,7 @@ pub struct HuntOptions {
     /// visited shrinks.
     pub por: bool,
     /// Absolute wall-clock deadline for the search; `None` (the default)
-    /// for no deadline, checked at BFS level boundaries.
+    /// for no deadline, checked before every chunk of frontier states.
     pub deadline: Option<Instant>,
     /// Classification backend: reachability search (default) or the
     /// `ibgp-solver` constraint encoding (`Sat`), which enumerates *all*
@@ -274,11 +274,13 @@ impl Verdict {
         if let Some(m) = &self.metrics {
             let _ = writeln!(
                 out,
-                "  explored at {:.0} states/sec on {} worker(s) (frontier depth {}, peak queue {})",
+                "  explored at {:.0} states/sec on {} worker(s) (frontier depth {}, peak queue {}; {:.3} s expanding, {:.3} s merging)",
                 m.states_per_sec(),
                 m.workers,
                 m.frontier_depth,
-                m.peak_queue
+                m.peak_queue,
+                m.expand_nanos as f64 / 1e9,
+                m.merge_nanos as f64 / 1e9
             );
             let _ = writeln!(
                 out,

@@ -1,10 +1,13 @@
 //! Daemon lifecycle: the persisted store survives a restart, deadlines
-//! stop deterministically without polluting the cache, and the TCP
-//! protocol reports miss-then-hit.
+//! stop deterministically without polluting the cache, the TCP
+//! protocol reports miss-then-hit, and hostile request bodies get an
+//! error without taking the daemon down.
 
 use ibgp_hunt::HuntOptions;
 use ibgp_serve::{submit_text, Request, Scheduler, Server, VerdictStore};
 use ibgp_types::StopReason;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -181,4 +184,42 @@ fn torn_final_line_is_truncated_and_the_store_keeps_serving() {
     std::fs::write(&path, format!("{torn}\n{good}")).unwrap();
     assert!(VerdictStore::open(&path).is_err());
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// The liveness probe: `ping` answers `ok pong`.
+fn ping(addr: SocketAddr) -> String {
+    let mut stream = TcpStream::connect(addr).expect("daemon accepts connections");
+    stream.write_all(b"ping\n").expect("send ping");
+    let mut status = String::new();
+    BufReader::new(stream)
+        .read_line(&mut status)
+        .expect("read pong");
+    status.trim_end().to_string()
+}
+
+/// Inputs that used to abort the whole process — an allocation for
+/// three billion routers, a stack overflow on deeply nested hierarchy
+/// clusters — are parse errors: the client gets `err ...` and the
+/// daemon keeps answering.
+#[test]
+fn hostile_specs_get_an_error_and_the_daemon_survives() {
+    let sched = Arc::new(Scheduler::new(VerdictStore::in_memory(), 1));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&sched)).expect("bind");
+    let addr = server.local_addr();
+    let huge = "ibgp 1\nname huge\nkind reflection\nprotocol standard\nrouters 3000000000\n";
+    let deep = format!(
+        "ibgp 1\nname deep\nkind hierarchy\nprotocol single-best\nrouters 1\nhcluster {}{}\n",
+        "( r 0 m ".repeat(200_000),
+        ") ".repeat(200_000)
+    );
+    for (label, text) in [("huge", huge.to_string()), ("deep", deep)] {
+        let answer = submit_text(addr, &text, &request(10_000)).expect("round trip");
+        assert!(
+            answer.status.starts_with("err "),
+            "{label}: status {}",
+            answer.status
+        );
+        assert_eq!(ping(addr), "ok pong", "{label}: daemon still up");
+    }
+    assert_eq!(sched.searches_run(), 0, "nothing reached the scheduler");
 }

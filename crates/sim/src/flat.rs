@@ -21,14 +21,30 @@
 //! one allocation per state, `memcmp` equality, and a digest that is
 //! computed once and carried with the key.
 //!
+//! [`FlatEngine`] steps these keys directly: key in, successor keys out,
+//! with no engine state to restore and no shared rows. A router's next
+//! block is a pure function of its peers' advertised masks (its
+//! `MyExits` never change during a search), memoized on exactly those
+//! words; everything else a search asks of a state — stability, each
+//! branch successor, the best vector, the partial-order ample set, the
+//! message counters — is derived from the current and planned blocks by
+//! word and mask arithmetic.
+//!
 //! The digest is a hand-rolled Fx-style multiply-xor hash (the workspace
 //! deliberately adds no dependencies); it only feeds hash-map bucketing
 //! and the digest-compacted visited set, never equality.
 
+use crate::metrics::Metrics;
 use crate::signature::{NodeStateKey, StateKey};
-use ibgp_types::{ExitPathId, ExitPathRef};
+use crate::sync::{transfer_update, SyncEngine};
+use ibgp_proto::transfer_allowed;
+use ibgp_proto::variants::ProtocolConfig;
+use ibgp_topology::Topology;
+use ibgp_types::{ExitPathId, ExitPathRef, RouterId};
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 /// Multiplier from the Fx hash family (the golden-ratio-derived odd
 /// constant used by rustc's FxHasher).
@@ -195,7 +211,8 @@ impl StateCodec {
                     advertised: self.decode_mask(&block[self.mask_words..2 * self.mask_words]),
                     // The flat encoding never carries reflection
                     // attributes: searches with loop prevention on run
-                    // the legacy scheme (`set_codec` rejects the combo).
+                    // the legacy scheme (`FlatEngine::new` rejects the
+                    // combination).
                     rr: Vec::new(),
                 }
             })
@@ -245,6 +262,11 @@ impl FlatKey {
         &self.words
     }
 
+    /// Give up the digest and keep the packed words.
+    pub fn into_words(self) -> Box<[u32]> {
+        self.words
+    }
+
     /// Accounted heap footprint, the flat analogue of
     /// `StateKey::approx_bytes`: the struct itself plus the word payload.
     pub fn approx_bytes(&self) -> usize {
@@ -279,6 +301,349 @@ impl Ord for FlatKey {
 impl Hash for FlatKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.digest.hash(state);
+    }
+}
+
+/// Pass-through hasher for keys that already are Fx digests
+/// ([`hash_words`]): hashing a mixed 64-bit digest again buys nothing.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("digest keys hash through write_u64")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// End of a [`RouterMemo`] digest chain.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// One router's update memo: its peers' advertised masks — the only
+/// update inputs that vary during a search — mapped to its next block.
+/// Entries are packed `[masks | block]` at a fixed stride; `index` maps
+/// a key's digest to its newest entry and `chain` links entries that
+/// share a digest.
+#[derive(Clone, Default)]
+struct RouterMemo {
+    index: HashMap<u64, u32, BuildHasherDefault<DigestHasher>>,
+    entries: Vec<u32>,
+    chain: Vec<u32>,
+}
+
+impl RouterMemo {
+    fn find(&self, digest: u64, masks: &[u32], stride: usize) -> Option<&[u32]> {
+        let mut at = *self.index.get(&digest)?;
+        loop {
+            let entry = &self.entries[at as usize * stride..(at as usize + 1) * stride];
+            if entry[..masks.len()] == *masks {
+                return Some(&entry[masks.len()..]);
+            }
+            at = self.chain[at as usize];
+            if at == NO_ENTRY {
+                return None;
+            }
+        }
+    }
+
+    fn insert(&mut self, digest: u64, masks: &[u32], block: &[u32]) {
+        let at = self.chain.len() as u32;
+        self.entries.extend_from_slice(masks);
+        self.entries.extend_from_slice(block);
+        self.chain
+            .push(self.index.insert(digest, at).unwrap_or(NO_ENTRY));
+    }
+}
+
+/// What activating one router from the loaded key does, derived from
+/// its current and planned blocks.
+#[derive(Clone, Copy, Default)]
+struct Move {
+    /// The planned block differs from the current one.
+    enabled: bool,
+    best_changed: bool,
+    /// Peers whose transfer-masked view of the advertised set changes
+    /// (one message each), and the paths those messages carry.
+    messages: u64,
+    paths: u64,
+}
+
+/// The fixed inputs of a flat search: topology, protocol, exit table,
+/// sessions and send masks.
+struct Model<'a> {
+    topo: &'a Topology,
+    config: ProtocolConfig,
+    codec: Arc<StateCodec>,
+    /// Exit paths by codec bit position.
+    paths: Vec<ExitPathRef>,
+    /// `MyExits(u)` per router.
+    my_exits: Vec<Vec<ExitPathRef>>,
+    /// `Topology::ibgp().peers(u)` per router.
+    peers: Vec<Vec<RouterId>>,
+    /// Per router, `mask_words` words per peer (in `peers` order): the
+    /// exits the router may send that peer under `Transfer`.
+    send: Vec<Vec<u32>>,
+}
+
+impl Model<'_> {
+    /// Compute router `u`'s next block from `key` (a memo miss, or the
+    /// unmemoized reference path).
+    fn next_block(&self, u: usize, key: &[u32], out: &mut [u32]) {
+        let (nw, mw) = (self.codec.node_words(), self.codec.mask_words());
+        let advertised: Vec<Vec<ExitPathRef>> = self.peers[u]
+            .iter()
+            .map(|v| {
+                let at = v.index() * nw + mw;
+                self.decode(&key[at..at + mw])
+            })
+            .collect();
+        transfer_update(
+            self.topo,
+            self.config,
+            RouterId::new(u as u32),
+            &self.my_exits[u],
+            &self.peers[u],
+            |i| advertised[i].as_slice(),
+        )
+        .encode_into(&self.codec, out);
+    }
+
+    /// The paths of a bitmask in ascending id order — exactly the sorted
+    /// list the sync engine advertises.
+    fn decode(&self, mask: &[u32]) -> Vec<ExitPathRef> {
+        let mut paths = Vec::new();
+        for (w, &word) in mask.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                paths.push(self.paths[w * 32 + bits.trailing_zeros() as usize].clone());
+                bits &= bits - 1;
+            }
+        }
+        paths
+    }
+}
+
+/// The key-in, key-out successor engine behind the default flat search.
+///
+/// [`FlatEngine::plan`] loads a key and plans every router's next block
+/// (memoized on the router plus its peers' advertised masks); the
+/// successor of any activation set, the best vector, and the ample set
+/// then follow from the loaded and planned blocks without touching
+/// route objects. The mask arithmetic is exact because advertised lists
+/// are sorted by id — bit order — in every protocol variant, so equal
+/// lists are equal masks and a transfer-filtered list is the advertised
+/// mask under the per-peer send mask. Counters match
+/// [`SyncEngine::step`] for the same activations.
+///
+/// Like [`SyncEngine`], one engine per worker: it is `Send` and owns its
+/// memo and scratch buffers.
+pub struct FlatEngine<'a> {
+    model: Model<'a>,
+    memoized: bool,
+    memo: Vec<RouterMemo>,
+    /// The key loaded by the last [`FlatEngine::plan`], and every
+    /// router's next block from it.
+    current: Vec<u32>,
+    planned: Vec<u32>,
+    moves: Vec<Move>,
+    /// Memo-key assembly buffer: router id, then the peers' masks.
+    scratch: Vec<u32>,
+    metrics: Metrics,
+}
+
+impl<'a> FlatEngine<'a> {
+    /// An engine for `engine`'s topology, protocol, exit paths and memo
+    /// setting, keyed under `codec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `engine` runs loop prevention (the flat encoding has no
+    /// slots for reflection attributes; those searches run the legacy
+    /// scheme) or if `codec` does not number exactly the engine's exit
+    /// paths.
+    pub fn new(engine: &SyncEngine<'a>, codec: Arc<StateCodec>) -> Self {
+        assert!(
+            !engine.loop_prevention(),
+            "loop prevention is incompatible with the flat encoding"
+        );
+        let topo = engine.topology();
+        let n = topo.len();
+        assert_eq!(codec.routers(), n, "router count mismatch");
+        let my_exits: Vec<Vec<ExitPathRef>> = topo
+            .routers()
+            .map(|u| engine.my_exits(u).to_vec())
+            .collect();
+        let mut paths: Vec<ExitPathRef> = my_exits.iter().flatten().cloned().collect();
+        paths.sort_by_key(|p| p.id());
+        assert!(
+            paths.len() == codec.exit_count()
+                && paths
+                    .iter()
+                    .enumerate()
+                    .all(|(e, p)| codec.id_at(e) == p.id()),
+            "codec does not number the engine's exit paths"
+        );
+        let peers: Vec<Vec<RouterId>> = topo.routers().map(|u| topo.ibgp().peers(u)).collect();
+        let mw = codec.mask_words();
+        let send = topo
+            .routers()
+            .map(|u| {
+                let mut masks = vec![0u32; peers[u.index()].len() * mw];
+                for (i, &v) in peers[u.index()].iter().enumerate() {
+                    for (e, p) in paths.iter().enumerate() {
+                        if transfer_allowed(topo, u, v, p.exit_point()) {
+                            masks[i * mw + e / 32] |= 1 << (e % 32);
+                        }
+                    }
+                }
+                masks
+            })
+            .collect();
+        Self {
+            model: Model {
+                topo,
+                config: engine.config(),
+                codec,
+                paths,
+                my_exits,
+                peers,
+                send,
+            },
+            memoized: engine.memoized(),
+            memo: vec![RouterMemo::default(); n],
+            current: Vec::new(),
+            planned: Vec::new(),
+            moves: vec![Move::default(); n],
+            scratch: Vec::new(),
+            metrics: Metrics::default(),
+        }
+    }
+
+    /// Load `key` and plan every router's next block from it. Returns
+    /// whether `key` is a fixed point — every planned block equals the
+    /// current one, exactly [`SyncEngine::is_stable`] of the configuration
+    /// it encodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not [`StateCodec::key_words`] long.
+    pub fn plan(&mut self, key: &[u32]) -> bool {
+        let model = &self.model;
+        let (nw, mw) = (model.codec.node_words(), model.codec.mask_words());
+        assert_eq!(key.len(), model.codec.key_words(), "key length mismatch");
+        self.current.clear();
+        self.current.extend_from_slice(key);
+        self.planned.resize(key.len(), 0);
+        for (u, out) in self.planned.chunks_exact_mut(nw).enumerate() {
+            if !self.memoized {
+                model.next_block(u, key, out);
+                continue;
+            }
+            self.scratch.clear();
+            self.scratch.push(u as u32);
+            for v in &model.peers[u] {
+                let at = v.index() * nw + mw;
+                self.scratch.extend_from_slice(&key[at..at + mw]);
+            }
+            let digest = hash_words(&self.scratch);
+            let masks = &self.scratch[1..];
+            if let Some(block) = self.memo[u].find(digest, masks, masks.len() + nw) {
+                out.copy_from_slice(block);
+                self.metrics.cache_hits += 1;
+            } else {
+                self.metrics.cache_misses += 1;
+                model.next_block(u, key, out);
+                self.memo[u].insert(digest, masks, out);
+            }
+        }
+        for (u, mv) in self.moves.iter_mut().enumerate() {
+            let cur = &key[u * nw..(u + 1) * nw];
+            let new = &self.planned[u * nw..(u + 1) * nw];
+            *mv = Move {
+                enabled: cur != new,
+                best_changed: cur[2 * mw] != new[2 * mw],
+                messages: 0,
+                paths: 0,
+            };
+            let (before, after) = (&cur[mw..2 * mw], &new[mw..2 * mw]);
+            if before == after {
+                continue;
+            }
+            // Push-on-change: one message per peer whose masked view of
+            // the advertised set changed, carrying that whole view.
+            for send in model.send[u].chunks_exact(mw) {
+                let changed = (0..mw).any(|w| (before[w] ^ after[w]) & send[w] != 0);
+                if changed {
+                    mv.messages += 1;
+                    mv.paths += (0..mw)
+                        .map(|w| u64::from((after[w] & send[w]).count_ones()))
+                        .sum::<u64>();
+                }
+            }
+        }
+        self.current == self.planned
+    }
+
+    /// Write into `out` the key that activating `set` (ascending router
+    /// ids) from the loaded key produces, and account the activation as
+    /// [`SyncEngine::step`] would: activations, best changes, messages,
+    /// paths advertised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not [`StateCodec::key_words`] long.
+    pub fn successor_into(&mut self, set: &[RouterId], out: &mut [u32]) {
+        let nw = self.model.codec.node_words();
+        out.copy_from_slice(&self.current);
+        for &u in set {
+            let span = u.index() * nw..(u.index() + 1) * nw;
+            out[span.clone()].copy_from_slice(&self.planned[span]);
+            let mv = self.moves[u.index()];
+            self.metrics.activations += 1;
+            self.metrics.best_changes += u64::from(mv.best_changed);
+            self.metrics.messages += mv.messages;
+            self.metrics.paths_advertised += mv.paths;
+        }
+    }
+
+    /// The loaded key's best exit per router.
+    pub fn best_vector(&self) -> Vec<Option<ExitPathId>> {
+        let codec = &self.model.codec;
+        self.current
+            .chunks_exact(codec.node_words())
+            .map(|block| match block[2 * codec.mask_words()] {
+                0 => None,
+                slot => Some(codec.id_at(slot as usize - 1)),
+            })
+            .collect()
+    }
+
+    /// The loaded key's ample set for exact partial-order reduction: the
+    /// enabled routers whose activation changes no transfer-masked
+    /// outgoing set, in ascending id order — the same set, under the
+    /// same argument, as [`SyncEngine::ample_set`]. `None` when empty.
+    pub fn ample_set(&self) -> Option<Vec<RouterId>> {
+        let ample: Vec<RouterId> = self
+            .moves
+            .iter()
+            .enumerate()
+            .filter(|(_, mv)| mv.enabled && mv.messages == 0)
+            .map(|(u, _)| RouterId::new(u as u32))
+            .collect();
+        (!ample.is_empty()).then_some(ample)
+    }
+
+    /// Counters so far: the activation accounting plus the memo's
+    /// hit/miss split (both zero when unmemoized).
+    pub fn metrics(&self) -> Metrics {
+        self.metrics
     }
 }
 

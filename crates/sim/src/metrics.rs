@@ -33,6 +33,17 @@ pub struct Metrics {
     pub states_visited: u64,
     /// Reachability exploration: wall-clock nanoseconds spent.
     pub elapsed_nanos: u64,
+    /// Reachability exploration: the coordinator's wall-clock
+    /// nanoseconds spent waiting for chunk expansions (in-thread at one
+    /// worker, on the pool otherwise).
+    #[serde(default)]
+    pub expand_nanos: u64,
+    /// Reachability exploration: the coordinator's wall-clock
+    /// nanoseconds spent merging expanded chunks — dedup, the state cap,
+    /// the byte budget, stable-vector collection. Serial at every worker
+    /// count.
+    #[serde(default)]
+    pub merge_nanos: u64,
     /// Reachability exploration: deepest BFS frontier reached (activation
     /// steps from `config(0)`).
     pub frontier_depth: u64,
@@ -85,10 +96,10 @@ impl Metrics {
     /// (activations, messages, paths advertised, best changes, cache
     /// hits/misses) are summed — the merge is commutative and
     /// associative, so per-worker metrics can be combined in any arrival
-    /// order. Search-side gauges (states visited, elapsed time, frontier
-    /// depth, peak queue/shard, workers, handoffs) are owned by the
-    /// search coordinator, not the workers, and are deliberately left
-    /// untouched.
+    /// order. Search-side gauges (states visited, elapsed, expand and
+    /// merge time, frontier depth, peak queue/shard, workers, handoffs)
+    /// are owned by the search coordinator, not the workers, and are
+    /// deliberately left untouched.
     pub fn absorb_engine(&mut self, other: &Metrics) {
         self.activations += other.activations;
         self.messages += other.messages;
@@ -108,6 +119,8 @@ impl Metrics {
         self.absorb_engine(other);
         self.states_visited += other.states_visited;
         self.elapsed_nanos += other.elapsed_nanos;
+        self.expand_nanos += other.expand_nanos;
+        self.merge_nanos += other.merge_nanos;
         self.handoffs += other.handoffs;
         self.orbit_states += other.orbit_states;
         self.digest_collisions += other.digest_collisions;
@@ -249,6 +262,8 @@ mod tests {
         let mut coordinator = Metrics {
             states_visited: 1_000,
             elapsed_nanos: 500_000_000, // 0.5 s of coordinator wall clock
+            expand_nanos: 300_000_000,
+            merge_nanos: 150_000_000,
             workers: 8,
             handoffs: 42,
             frontier_depth: 9,
@@ -264,6 +279,8 @@ mod tests {
                 cache_misses: 2,
                 // A buggy merge would sum these into the aggregate.
                 elapsed_nanos: 500_000_000,
+                expand_nanos: 400_000_000,
+                merge_nanos: 100_000_000,
                 states_visited: 999,
                 workers: 1,
                 handoffs: 7,
@@ -275,6 +292,8 @@ mod tests {
             coordinator.absorb_engine(&worker);
         }
         assert_eq!(coordinator.elapsed_nanos, 500_000_000);
+        assert_eq!(coordinator.expand_nanos, 300_000_000);
+        assert_eq!(coordinator.merge_nanos, 150_000_000);
         assert_eq!(coordinator.states_visited, 1_000);
         assert_eq!(coordinator.workers, 8);
         assert_eq!(coordinator.handoffs, 42);

@@ -37,8 +37,10 @@
 //!   once per step.
 //! * **Snapshots are interned rows, not deep clones.**
 //!   [`SyncEngine::snapshot`]/[`SyncEngine::restore`] copy a vector of
-//!   `Arc`s; the millions of `restore → step` replays a reachability
-//!   search performs share row storage and cache entries.
+//!   `Arc`s; the `restore → step` replays of the legacy and
+//!   loop-prevention reachability searches share row storage and cache
+//!   entries. (The default flat search needs no snapshots at all: it
+//!   steps encoded keys with [`crate::flat::FlatEngine`].)
 //! * **Message accounting reuses per-state transfer sets.** Each state
 //!   carries the transfer-filtered ids it offers every peer, computed once
 //!   when the state is first built rather than twice per peer per step.
@@ -50,7 +52,7 @@
 //! [`SyncEngine::set_memoized`] and is exercised by the equivalence tests.
 
 use crate::engine::Engine;
-use crate::flat::{hash_words, FlatKey, StateCodec};
+use crate::flat::{hash_words, FlatEngine, FlatKey, StateCodec};
 use crate::metrics::Metrics;
 use crate::signature::{NodeStateKey, StateKey};
 use ibgp_proto::variants::ProtocolConfig;
@@ -81,6 +83,7 @@ const _: () = {
     assert_send_sync::<StateCodec>();
     assert_send_sync::<Metrics>();
     assert_send::<SyncEngine<'_>>();
+    assert_send::<FlatEngine<'_>>();
 };
 
 /// The result of a bounded sync-engine run.
@@ -135,7 +138,7 @@ impl fmt::Display for SyncOutcome {
 /// One node's state — an immutable row shared behind an [`Arc`] between
 /// the live configuration, snapshots, and the update memo.
 #[derive(Debug, Clone)]
-struct NodeState {
+pub(crate) struct NodeState {
     my_exits: Vec<ExitPathRef>,
     possible: Vec<ExitPathRef>,
     /// `learnedFrom` per possible exit path.
@@ -150,11 +153,6 @@ struct NodeState {
     /// only; empty otherwise). Peers read the entries of *advertised*
     /// paths when gathering; the rest ride along for inspection.
     attrs: BTreeMap<ExitPathId, RrAttrs>,
-    /// The row's flat encoding under the engine's [`StateCodec`] —
-    /// `node_words` long when a codec is installed, empty otherwise.
-    /// Cached with the row so assembling a full [`FlatKey`] is a plain
-    /// word copy.
-    flat: Box<[u32]>,
 }
 
 impl NodeState {
@@ -179,25 +177,15 @@ impl NodeState {
         }
     }
 
-    fn encode_flat(&self, codec: &StateCodec) -> Box<[u32]> {
-        let mut out = vec![0u32; codec.node_words()];
+    /// Write this row's block under `codec` into `out` — how the flat
+    /// engine stores a computed update.
+    pub(crate) fn encode_into(&self, codec: &StateCodec, out: &mut [u32]) {
         codec.encode_node_into(
             self.possible.iter().map(|p| p.id()),
             self.best.as_ref().map(Route::exit_id),
             self.advertised.iter().map(|p| p.id()),
-            &mut out,
+            out,
         );
-        out.into_boxed_slice()
-    }
-
-    /// Append this row's flat words to `words`, encoding on the fly if
-    /// the cached copy predates the codec installation.
-    fn extend_flat(&self, codec: &StateCodec, words: &mut Vec<u32>) {
-        if self.flat.len() == codec.node_words() {
-            words.extend_from_slice(&self.flat);
-        } else {
-            words.extend_from_slice(&self.encode_flat(codec));
-        }
     }
 }
 
@@ -248,9 +236,6 @@ pub struct SyncEngine<'a> {
     /// Reused buffer for memo-key assembly, so the memoized lookup path
     /// allocates only on a miss.
     memo_scratch: RefCell<Vec<u32>>,
-    /// Flat-encoding table for [`SyncEngine::flat_key`] and the branch
-    /// API; installed once per search via [`SyncEngine::set_codec`].
-    codec: Option<Arc<StateCodec>>,
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
 }
@@ -267,7 +252,6 @@ impl Clone for SyncEngine<'_> {
             loop_prevention: self.loop_prevention,
             memo: RefCell::new(self.memo.borrow().clone()),
             memo_scratch: RefCell::new(Vec::new()),
-            codec: self.codec.clone(),
             cache_hits: self.cache_hits.clone(),
             cache_misses: self.cache_misses.clone(),
         }
@@ -294,7 +278,6 @@ impl<'a> SyncEngine<'a> {
                 advertised: Vec::new(),
                 outgoing: vec![Vec::new(); topo.ibgp().peers(RouterId::new(i as u32)).len()],
                 attrs: BTreeMap::new(),
-                flat: Box::default(),
             })
             .collect();
         let mut seen = std::collections::HashSet::new();
@@ -329,14 +312,13 @@ impl<'a> SyncEngine<'a> {
             loop_prevention: false,
             memo: RefCell::new(HashMap::new()),
             memo_scratch: RefCell::new(Vec::new()),
-            codec: None,
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
         }
     }
 
     /// The topology being simulated.
-    pub fn topology(&self) -> &Topology {
+    pub fn topology(&self) -> &'a Topology {
         self.topo
     }
 
@@ -392,21 +374,12 @@ impl<'a> SyncEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when enabling after steps were applied, or with a flat
-    /// codec installed (the flat encoding cannot carry the per-path
-    /// attributes; loop-prevention searches run the legacy scheme).
+    /// Panics when enabling after steps were applied.
     pub fn set_loop_prevention(&mut self, on: bool) {
         if self.loop_prevention == on {
             return;
         }
-        assert!(
-            self.time == 0,
-            "set_loop_prevention must precede stepping"
-        );
-        assert!(
-            !(on && self.codec.is_some()),
-            "loop prevention is incompatible with the flat encoding"
-        );
+        assert!(self.time == 0, "set_loop_prevention must precede stepping");
         self.loop_prevention = on;
         self.memo.borrow_mut().clear();
         for node in &mut self.nodes {
@@ -602,63 +575,15 @@ impl<'a> SyncEngine<'a> {
         if self.loop_prevention {
             return self.compute_update_rr(u);
         }
-        let cur = &self.nodes[u.index()];
-        // Gather: own exits plus transfer-filtered peer advertisements,
-        // tracking the minimum announcing BGP id per path.
-        let mut gathered: BTreeMap<ExitPathId, (ExitPathRef, BgpId)> = BTreeMap::new();
-        for p in &cur.my_exits {
-            gathered.insert(p.id(), (p.clone(), p.next_hop().bgp_id()));
-        }
-        for v in self.topo.ibgp().peers(u) {
-            let sender = self.topo.bgp_id(v);
-            for p in transfer_set(self.topo, v, u, &self.nodes[v.index()].advertised) {
-                gathered
-                    .entry(p.id())
-                    .and_modify(|(_, lf)| {
-                        // Own exits keep their external learnedFrom; I-BGP
-                        // announcements take the minimum announcing peer.
-                        if p.exit_point() != u {
-                            *lf = (*lf).min(sender);
-                        }
-                    })
-                    .or_insert((p, sender));
-            }
-        }
-        let possible: Vec<ExitPathRef> = gathered.values().map(|(p, _)| p.clone()).collect();
-        let learned: BTreeMap<ExitPathId, BgpId> =
-            gathered.iter().map(|(&id, &(_, lf))| (id, lf)).collect();
-        let routes: Vec<Route> = possible
-            .iter()
-            .map(|p| route_at(self.topo, u, p, learned[&p.id()]))
-            .collect();
-        let best = choose_best(self.config.policy, &routes);
-        let advertised = self.advertised_set(u, &possible, &routes, best.as_ref());
-        let outgoing = self
-            .topo
-            .ibgp()
-            .peers(u)
-            .into_iter()
-            .map(|v| {
-                transfer_set(self.topo, u, v, &advertised)
-                    .iter()
-                    .map(|p| p.id())
-                    .collect()
-            })
-            .collect();
-        let mut row = NodeState {
-            my_exits: cur.my_exits.clone(),
-            possible,
-            learned,
-            best,
-            advertised,
-            outgoing,
-            attrs: BTreeMap::new(),
-            flat: Box::default(),
-        };
-        if let Some(codec) = &self.codec {
-            row.flat = row.encode_flat(codec);
-        }
-        row
+        let peers = self.topo.ibgp().peers(u);
+        transfer_update(
+            self.topo,
+            self.config,
+            u,
+            &self.nodes[u.index()].my_exits,
+            &peers,
+            |i| &self.nodes[peers[i].index()].advertised[..],
+        )
     }
 
     /// [`SyncEngine::compute_update`] under message-level loop
@@ -721,7 +646,8 @@ impl<'a> SyncEngine<'a> {
             .map(|p| route_at(self.topo, u, p, learned[&p.id()]))
             .collect();
         let best = choose_best(self.config.policy, &routes);
-        let advertised = self.advertised_set(u, &possible, &routes, best.as_ref());
+        let advertised =
+            advertised_set(self.topo, self.config, u, &possible, &routes, best.as_ref());
         // Send-side filtering only: the receive-side cluster-loop drop is
         // the *receiver's* decision, applied in its own gather.
         let outgoing = ibgp
@@ -746,30 +672,6 @@ impl<'a> SyncEngine<'a> {
             advertised,
             outgoing,
             attrs,
-            flat: Box::default(),
-        }
-    }
-
-    /// The advertisement discipline per protocol variant.
-    fn advertised_set(
-        &self,
-        u: RouterId,
-        possible: &[ExitPathRef],
-        routes: &[Route],
-        best: Option<&Route>,
-    ) -> Vec<ExitPathRef> {
-        // Standard advertisement: exactly the best route's exit, if any.
-        let best_singleton = || best.map(|r| vec![r.exit().clone()]).unwrap_or_default();
-        match self.config.variant {
-            ProtocolVariant::Standard => best_singleton(),
-            ProtocolVariant::Walton => {
-                if self.topo.ibgp().is_reflector(u) {
-                    walton_advertised_set(self.config.policy, routes)
-                } else {
-                    best_singleton()
-                }
-            }
-            ProtocolVariant::Modified => choose_set(possible, self.config.policy.med_mode),
         }
     }
 
@@ -859,50 +761,10 @@ impl<'a> SyncEngine<'a> {
             .collect()
     }
 
-    /// Install a flat-encoding table (see [`crate::flat`]). Every live
-    /// row is (re-)encoded and the update memo is dropped (cached rows
-    /// lack the encoding), so install the codec once, right after
-    /// construction, before any search work.
-    pub fn set_codec(&mut self, codec: Arc<StateCodec>) {
-        assert!(
-            !self.loop_prevention,
-            "loop prevention is incompatible with the flat encoding"
-        );
-        self.memo.borrow_mut().clear();
-        for node in &mut self.nodes {
-            let row = Arc::make_mut(node);
-            row.flat = row.encode_flat(&codec);
-        }
-        self.codec = Some(codec);
-    }
-
-    /// The installed flat-encoding table, if any.
-    pub fn codec(&self) -> Option<&Arc<StateCodec>> {
-        self.codec.as_ref()
-    }
-
-    /// The current configuration's [`FlatKey`] — equivalent to
-    /// `state_key(0)` under the codec's encoding, assembled by copying
-    /// the rows' cached words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no codec is installed.
-    pub fn flat_key(&self) -> FlatKey {
-        let codec = self.codec.as_deref().expect("flat_key requires set_codec");
-        let mut words = Vec::with_capacity(codec.key_words());
-        for node in &self.nodes {
-            node.extend_flat(codec, &mut words);
-        }
-        FlatKey::new(words.into_boxed_slice())
-    }
-
-    /// Compute every node's update row once, for expanding all of a
-    /// state's activation branches via [`SyncEngine::branch_key`] /
-    /// [`SyncEngine::branch_snapshot`] without re-deriving rows per
-    /// branch (a `step` per branch recomputes all `n` rows each time).
-    /// `stable` is exactly [`SyncEngine::is_stable`] of the current
-    /// configuration.
+    /// Compute every node's update row once, for deciding stability and
+    /// the partial-order ample set ([`SyncEngine::ample_set`]) of the
+    /// current configuration from one pass. `stable` is exactly
+    /// [`SyncEngine::is_stable`] of the current configuration.
     pub fn plan(&self) -> StepPlan {
         let rows: Vec<Arc<NodeState>> = self.topo.routers().map(|u| self.update_row(u)).collect();
         let stable = rows
@@ -910,51 +772,6 @@ impl<'a> SyncEngine<'a> {
             .zip(&self.nodes)
             .all(|(new, old)| Arc::ptr_eq(new, old) || new.key() == old.key());
         StepPlan { rows, stable }
-    }
-
-    /// The [`FlatKey`] of the configuration that activating `set` from
-    /// the current state would produce, without mutating the live state.
-    /// Metrics account exactly as [`SyncEngine::step`] would for the same
-    /// activation (activations, best changes, messages, paths).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no codec is installed or `plan` came from a different
-    /// engine/state (row count mismatch).
-    pub fn branch_key(&mut self, plan: &StepPlan, set: &[RouterId]) -> FlatKey {
-        assert_eq!(plan.rows.len(), self.nodes.len(), "foreign step plan");
-        for &u in set {
-            let new = &plan.rows[u.index()];
-            let old = &self.nodes[u.index()];
-            let best_changed =
-                old.best.as_ref().map(Route::exit_id) != new.best.as_ref().map(Route::exit_id);
-            if best_changed {
-                self.metrics.best_changes += 1;
-            }
-            if !Arc::ptr_eq(old, new) && old.advertised != new.advertised {
-                for (before, after) in old.outgoing.iter().zip(&new.outgoing) {
-                    if before != after {
-                        self.metrics.messages += 1;
-                        self.metrics.paths_advertised += after.len() as u64;
-                    }
-                }
-            }
-            self.metrics.activations += 1;
-        }
-        let codec = self
-            .codec
-            .as_deref()
-            .expect("branch_key requires set_codec");
-        let mut words = Vec::with_capacity(codec.key_words());
-        for (i, node) in self.nodes.iter().enumerate() {
-            let row = if set.iter().any(|&u| u.index() == i) {
-                &plan.rows[i]
-            } else {
-                node
-            };
-            row.extend_flat(codec, &mut words);
-        }
-        FlatKey::new(words.into_boxed_slice())
     }
 
     /// The ample activation set for exact partial-order reduction: every
@@ -1018,31 +835,105 @@ impl<'a> SyncEngine<'a> {
             Some(ample)
         }
     }
-
-    /// The successor snapshot activating `set` would produce — the state
-    /// [`SyncEngine::branch_key`] keyed. O(n) `Arc` clones; the live
-    /// configuration is untouched. Carries no metrics accounting (pair
-    /// it with `branch_key`, which accounts the activation).
-    pub fn branch_snapshot(&self, plan: &StepPlan, set: &[RouterId]) -> SyncSnapshot {
-        let mut nodes = self.nodes.clone();
-        for &u in set {
-            nodes[u.index()] = Arc::clone(&plan.rows[u.index()]);
-        }
-        SyncSnapshot {
-            nodes,
-            time: self.time + 1,
-        }
-    }
 }
 
 /// Every node's update row for one activation step, precomputed once so
-/// a search can expand all `n + 1` activation branches of a state
-/// without recomputing rows per branch. Produced by [`SyncEngine::plan`].
+/// a search can decide stability and the ample set of a state from a
+/// single pass. Produced by [`SyncEngine::plan`].
 pub struct StepPlan {
     rows: Vec<Arc<NodeState>>,
     /// Whether the planned-from configuration is a fixed point
     /// (identical to [`SyncEngine::is_stable`]).
     pub stable: bool,
+}
+
+/// `u`'s post-activation row under the paper's `Transfer` relation (no
+/// loop prevention): the gather over `MyExits(u)` and every I-BGP peer's
+/// transfer-filtered advertised list — `advertised(i)` for `peers[i]`,
+/// with `peers` in `Topology::ibgp().peers(u)` order — then the decision
+/// process and the variant's advertisement discipline. A pure function
+/// of those inputs, which is what makes both engines' update memos
+/// sound.
+pub(crate) fn transfer_update<'p>(
+    topo: &Topology,
+    config: ProtocolConfig,
+    u: RouterId,
+    my_exits: &[ExitPathRef],
+    peers: &[RouterId],
+    advertised: impl Fn(usize) -> &'p [ExitPathRef],
+) -> NodeState {
+    // Gather: own exits plus transfer-filtered peer advertisements,
+    // tracking the minimum announcing BGP id per path.
+    let mut gathered: BTreeMap<ExitPathId, (ExitPathRef, BgpId)> = BTreeMap::new();
+    for p in my_exits {
+        gathered.insert(p.id(), (p.clone(), p.next_hop().bgp_id()));
+    }
+    for (i, &v) in peers.iter().enumerate() {
+        let sender = topo.bgp_id(v);
+        for p in transfer_set(topo, v, u, advertised(i)) {
+            gathered
+                .entry(p.id())
+                .and_modify(|(_, lf)| {
+                    // Own exits keep their external learnedFrom; I-BGP
+                    // announcements take the minimum announcing peer.
+                    if p.exit_point() != u {
+                        *lf = (*lf).min(sender);
+                    }
+                })
+                .or_insert((p, sender));
+        }
+    }
+    let possible: Vec<ExitPathRef> = gathered.values().map(|(p, _)| p.clone()).collect();
+    let learned: BTreeMap<ExitPathId, BgpId> =
+        gathered.iter().map(|(&id, &(_, lf))| (id, lf)).collect();
+    let routes: Vec<Route> = possible
+        .iter()
+        .map(|p| route_at(topo, u, p, learned[&p.id()]))
+        .collect();
+    let best = choose_best(config.policy, &routes);
+    let advertised = advertised_set(topo, config, u, &possible, &routes, best.as_ref());
+    let outgoing = peers
+        .iter()
+        .map(|&v| {
+            transfer_set(topo, u, v, &advertised)
+                .iter()
+                .map(|p| p.id())
+                .collect()
+        })
+        .collect();
+    NodeState {
+        my_exits: my_exits.to_vec(),
+        possible,
+        learned,
+        best,
+        advertised,
+        outgoing,
+        attrs: BTreeMap::new(),
+    }
+}
+
+/// The advertisement discipline per protocol variant.
+fn advertised_set(
+    topo: &Topology,
+    config: ProtocolConfig,
+    u: RouterId,
+    possible: &[ExitPathRef],
+    routes: &[Route],
+    best: Option<&Route>,
+) -> Vec<ExitPathRef> {
+    // Standard advertisement: exactly the best route's exit, if any.
+    let best_singleton = || best.map(|r| vec![r.exit().clone()]).unwrap_or_default();
+    match config.variant {
+        ProtocolVariant::Standard => best_singleton(),
+        ProtocolVariant::Walton => {
+            if topo.ibgp().is_reflector(u) {
+                walton_advertised_set(config.policy, routes)
+            } else {
+                best_singleton()
+            }
+        }
+        ProtocolVariant::Modified => choose_set(possible, config.policy.med_mode),
+    }
 }
 
 /// The unified engine surface ([`Engine::run`] — the bounded
@@ -1567,8 +1458,8 @@ mod tests {
         assert_eq!(eng.cluster_list(r(2), p1), Some(&[][..]));
     }
 
-    /// Enabling loop prevention after stepping (or with a codec) is a
-    /// construction error.
+    /// Enabling loop prevention after stepping is a construction error,
+    /// and so is keying a loop-prevention engine flat.
     #[test]
     #[should_panic(expected = "set_loop_prevention must precede stepping")]
     fn loop_prevention_after_steps_panics() {
@@ -1593,11 +1484,11 @@ mod tests {
         let exits = vec![exit(1, 1, 0, 0)];
         let mut eng = SyncEngine::new(&topo, ProtocolConfig::STANDARD, exits.clone());
         eng.set_loop_prevention(true);
-        eng.set_codec(Arc::new(crate::flat::StateCodec::new(topo.len(), &exits)));
+        let _ = FlatEngine::new(&eng, Arc::new(StateCodec::new(topo.len(), &exits)));
     }
 
-    /// The flat key of the live configuration is the codec encoding of
-    /// `state_key(0)`, before and after steps.
+    /// The flat engine's successor keys are the codec encoding of
+    /// `state_key(0)` after the same step, and decode back to it.
     #[test]
     fn flat_key_matches_encoded_state_key() {
         let topo = TopologyBuilder::new(3)
@@ -1608,17 +1499,24 @@ mod tests {
             .unwrap();
         let exits = vec![exit(1, 1, 0, 0), exit(2, 2, 5, 2)];
         let mut eng = SyncEngine::new(&topo, ProtocolConfig::MODIFIED, exits.clone());
-        let codec = Arc::new(crate::flat::StateCodec::new(topo.len(), &exits));
-        eng.set_codec(Arc::clone(&codec));
+        let codec = Arc::new(StateCodec::new(topo.len(), &exits));
+        let mut flat = FlatEngine::new(&eng, Arc::clone(&codec));
+        let all = [r(0), r(1), r(2)];
+        let mut key = codec.encode_key(&eng.state_key(0));
+        let mut next = vec![0u32; codec.key_words()];
         for _ in 0..6 {
-            assert_eq!(eng.flat_key(), codec.encode_key(&eng.state_key(0)));
-            assert_eq!(codec.decode_key(&eng.flat_key()), eng.state_key(0));
-            eng.step(&[r(0), r(1), r(2)]);
+            assert_eq!(codec.decode_key(&key), eng.state_key(0));
+            flat.plan(key.words());
+            flat.successor_into(&all, &mut next);
+            eng.step(&all);
+            key = FlatKey::new(next.clone().into_boxed_slice());
+            assert_eq!(key, codec.encode_key(&eng.state_key(0)));
         }
     }
 
-    /// `plan` + `branch_key`/`branch_snapshot` replicate `step` exactly:
-    /// same successor keys, same stability verdict, same metrics deltas.
+    /// `FlatEngine::plan` + `successor_into` replicate `step` exactly:
+    /// same successor keys, same stability verdict, best vector and
+    /// ample set, same metrics deltas.
     #[test]
     fn branch_api_matches_step_semantics() {
         let topo = TopologyBuilder::new(4)
@@ -1636,35 +1534,39 @@ mod tests {
             ProtocolConfig::MODIFIED,
         ] {
             let exits = vec![exit(1, 1, 0, 2), exit(2, 1, 0, 3)];
-            let codec = Arc::new(crate::flat::StateCodec::new(topo.len(), &exits));
-            let mut flat = SyncEngine::new(&topo, config, exits.clone());
-            flat.set_codec(Arc::clone(&codec));
+            let codec = Arc::new(StateCodec::new(topo.len(), &exits));
             let mut legacy = SyncEngine::new(&topo, config, exits);
+            let mut flat = FlatEngine::new(&legacy, Arc::clone(&codec));
 
             // Walk a few frontier states; at each, compare every branch.
             let mut branches: Vec<Vec<RouterId>> = (0..4).map(|i| vec![r(i)]).collect();
             branches.push((0..4).map(r).collect());
-            let mut snap_flat = flat.snapshot();
-            let mut snap_legacy = legacy.snapshot();
+            let mut key = codec.encode_key(&legacy.state_key(0)).into_words();
+            let mut snap = legacy.snapshot();
+            let mut succ = vec![0u32; codec.key_words()];
             for depth in 0..4 {
-                flat.restore(&snap_flat);
-                legacy.restore(&snap_legacy);
-                let plan = flat.plan();
-                assert_eq!(plan.stable, legacy.is_stable(), "depth {depth}");
+                legacy.restore(&snap);
+                let stable = flat.plan(&key);
+                assert_eq!(stable, legacy.is_stable(), "depth {depth}");
+                assert_eq!(flat.best_vector(), legacy.best_vector(), "depth {depth}");
+                assert_eq!(
+                    flat.ample_set(),
+                    legacy.ample_set(&legacy.plan()),
+                    "depth {depth}"
+                );
                 for branch in &branches {
-                    flat.restore(&snap_flat);
-                    legacy.restore(&snap_legacy);
+                    legacy.restore(&snap);
                     let m_flat = flat.metrics();
                     let m_legacy = legacy.metrics();
-                    let key = flat.branch_key(&plan, branch);
+                    flat.successor_into(branch, &mut succ);
                     legacy.step(branch);
                     assert_eq!(
-                        codec.decode_key(&key),
+                        codec.decode_key(&FlatKey::new(succ.clone().into_boxed_slice())),
                         legacy.state_key(0),
                         "branch {branch:?} at depth {depth}"
                     );
                     // Identical metrics deltas (cache counters aside —
-                    // the two paths schedule memo lookups differently).
+                    // the two engines schedule memo lookups differently).
                     let d_flat = flat.metrics();
                     let d_legacy = legacy.metrics();
                     assert_eq!(
@@ -1683,20 +1585,47 @@ mod tests {
                         d_flat.best_changes - m_flat.best_changes,
                         d_legacy.best_changes - m_legacy.best_changes
                     );
-                    // The branch snapshot restores to the keyed state.
-                    flat.restore(&snap_flat);
-                    let succ = flat.branch_snapshot(&plan, branch);
-                    flat.restore(&succ);
-                    assert_eq!(flat.flat_key(), key);
                 }
                 // Descend along the full-set branch.
-                flat.restore(&snap_flat);
-                let plan = flat.plan();
-                snap_flat = flat.branch_snapshot(&plan, &branches[4]);
-                legacy.restore(&snap_legacy);
+                flat.successor_into(&branches[4], &mut succ);
+                key = succ.clone().into_boxed_slice();
+                legacy.restore(&snap);
                 legacy.step(&branches[4]);
-                snap_legacy = legacy.snapshot();
+                snap = legacy.snapshot();
             }
         }
+    }
+
+    /// The unmemoized flat engine plans the same blocks and reports zero
+    /// cache counters.
+    #[test]
+    fn unmemoized_flat_engine_matches_and_counts_no_cache() {
+        let topo = TopologyBuilder::new(3)
+            .link(0, 1, 1)
+            .link(1, 2, 1)
+            .cluster([0], [1, 2])
+            .build()
+            .unwrap();
+        let exits = vec![exit(1, 1, 0, 1), exit(2, 1, 3, 2)];
+        let codec = Arc::new(StateCodec::new(topo.len(), &exits));
+        let fast_src = SyncEngine::new(&topo, ProtocolConfig::STANDARD, exits.clone());
+        let mut slow_src = SyncEngine::new(&topo, ProtocolConfig::STANDARD, exits);
+        slow_src.set_memoized(false);
+        let mut fast = FlatEngine::new(&fast_src, Arc::clone(&codec));
+        let mut slow = FlatEngine::new(&slow_src, Arc::clone(&codec));
+        let all = [r(0), r(1), r(2)];
+        let mut key = codec.encode_key(&fast_src.state_key(0)).into_words();
+        let (mut a, mut b) = (vec![0u32; key.len()], vec![0u32; key.len()]);
+        for _ in 0..5 {
+            assert_eq!(fast.plan(&key), slow.plan(&key));
+            fast.successor_into(&all, &mut a);
+            slow.successor_into(&all, &mut b);
+            assert_eq!(a, b);
+            key = a.clone().into_boxed_slice();
+        }
+        let m = slow.metrics();
+        assert_eq!((m.cache_hits, m.cache_misses), (0, 0));
+        assert!(fast.metrics().cache_misses > 0);
+        assert_eq!(m.activations, fast.metrics().activations);
     }
 }
