@@ -69,12 +69,16 @@
 //!   executable specification the equivalence suites drive the flat path
 //!   against, and as the one scheme that carries loop prevention.
 //! * [`SweepScheme`]: any [`SweepEngine`] — the confederation and
-//!   hierarchy engines. The frontier holds engine clones; one
-//!   `update_all` per state keys every branch successor by laying the
-//!   current and updated per-router encodings end to end, and only the
-//!   successors that survive the visited pre-filter are cloned. These
-//!   engines have no automorphism action and no ample-set proof, so
-//!   the sweep search declines symmetry and POR.
+//!   hierarchy engines — in the shape of [`FlatScheme`]. States are the
+//!   engine's words, one self-delimiting span per router, and the
+//!   frontier holds those words and nothing else. A worker's
+//!   [`SweepPlanner`] plans every router's next span from a state's key
+//!   (memoized on the spans of the routers its update reads) and
+//!   splices each branch successor from current and planned spans into
+//!   a scratch buffer; only successors that survive the visited
+//!   pre-filter are copied out, and an admitted one moves into the next
+//!   frontier. These engines have no automorphism action and no
+//!   ample-set proof, so the sweep search declines symmetry and POR.
 //!
 //! The flat and legacy key spaces are bijective
 //! (`StateCodec::{encode_key, decode_key}`), so both schemes visit the
@@ -130,7 +134,9 @@ use crate::symmetry::{FlatAction, SymmetryGroup};
 use ibgp_proto::variants::ProtocolConfig;
 use ibgp_sim::flat::hash_words;
 use ibgp_sim::signature::StateKey;
-use ibgp_sim::{FlatEngine, FlatKey, Metrics, StateCodec, SweepEngine, SyncEngine, SyncSnapshot};
+use ibgp_sim::{
+    FlatEngine, FlatKey, Metrics, StateCodec, SweepEngine, SweepPlanner, SyncEngine, SyncSnapshot,
+};
 use ibgp_topology::Topology;
 use ibgp_types::{ExitPathId, ExitPathRef, RouterId, StopReason};
 use std::sync::mpsc;
@@ -782,107 +788,52 @@ impl<'a> Scheme for FlatScheme<'a> {
     }
 }
 
-/// The search for any [`SweepEngine`]. Frontier states are engine
-/// clones, so there is no separate expansion engine to restore; a
-/// worker's engine is just the scratch buffer branch keys are built in.
-struct SweepScheme<E> {
-    initial: E,
+/// The search for any [`SweepEngine`]: frontier states are key words —
+/// every router's span laid end to end — expanded by a key-in, key-out
+/// [`SweepPlanner`] over the engine's update rule.
+struct SweepScheme<'e, E> {
+    engine: &'e E,
 }
 
-/// A sweep successor that survived the pre-filter.
-struct SweepFresh<E> {
-    key: FlatKey,
-    next: E,
+/// A worker's sweep planner plus the scratch buffer successors are
+/// spliced in. A successor the pre-filter rejects never leaves it.
+struct SweepWorker<'e, E> {
+    planner: SweepPlanner<'e, E>,
+    succ: Vec<u32>,
 }
 
-/// Per-router encodings laid end to end, with the end offset of each
-/// router's span.
-struct RouterWords {
-    words: Vec<u32>,
-    ends: Vec<usize>,
-}
+impl<'e, E: SweepEngine + Sync> Scheme for SweepScheme<'e, E> {
+    type Engine = SweepWorker<'e, E>;
+    type Snapshot = Box<[u32]>;
+    type Fresh = FlatKey;
 
-impl RouterWords {
-    fn of<E: SweepEngine>(nodes: &[E::Node]) -> Self {
-        let mut words = Vec::new();
-        let mut ends = Vec::with_capacity(nodes.len());
-        for node in nodes {
-            E::encode(node, &mut words);
-            ends.push(words.len());
+    fn engine(&self) -> SweepWorker<'e, E> {
+        SweepWorker {
+            planner: SweepPlanner::new(self.engine),
+            succ: Vec::new(),
         }
-        Self { words, ends }
     }
 
-    fn router(&self, u: usize) -> &[u32] {
-        let start = if u == 0 { 0 } else { self.ends[u - 1] };
-        &self.words[start..self.ends[u]]
-    }
-}
-
-/// Write into `out` the key of the successor that installs `updated` for
-/// the routers in `branch` (ascending) and keeps `current` everywhere
-/// else.
-fn branch_words(
-    current: &RouterWords,
-    updated: &RouterWords,
-    branch: &[RouterId],
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    let mut members = branch.iter().map(|r| r.index()).peekable();
-    for u in 0..current.ends.len() {
-        let source = if members.next_if_eq(&u).is_some() {
-            updated
-        } else {
-            current
-        };
-        out.extend_from_slice(source.router(u));
-    }
-}
-
-impl<E: SweepEngine + Send + Sync> Scheme for SweepScheme<E> {
-    type Engine = Vec<u32>;
-    type Snapshot = E;
-    type Fresh = SweepFresh<E>;
-
-    fn engine(&self) -> Vec<u32> {
-        Vec::new()
-    }
-
-    fn initial(&self, _scratch: &mut Vec<u32>) -> Option<SweepFresh<E>> {
-        let words = RouterWords::of::<E>(self.initial.nodes()).words;
-        Some(SweepFresh {
-            key: FlatKey::new(words.into_boxed_slice()),
-            next: self.initial.clone(),
-        })
+    fn initial(&self, _worker: &mut SweepWorker<'e, E>) -> Option<FlatKey> {
+        Some(FlatKey::new(self.engine.words().into()))
     }
 
     fn expand_unit(
         &self,
-        scratch: &mut Vec<u32>,
-        snap: &E,
+        w: &mut SweepWorker<'e, E>,
+        snap: &Box<[u32]>,
         branches: &[Vec<RouterId>],
         visited: &Visited,
-    ) -> UnitOutcome<SweepFresh<E>> {
-        // One sweep serves the fixed-point test and every branch.
-        let updates = snap.update_all();
-        let current = RouterWords::of::<E>(snap.nodes());
-        let updated = RouterWords::of::<E>(&updates);
-        // Self-delimiting encodings: equal concatenations mean every
-        // router's update is a no-op.
-        if current.words == updated.words {
-            return UnitOutcome::Stable(snap.nodes().iter().map(E::best).collect());
+    ) -> UnitOutcome<FlatKey> {
+        // One plan serves the fixed-point test and every branch.
+        if w.planner.plan(snap) {
+            return UnitOutcome::Stable(w.planner.best_vector());
         }
         let mut fresh = Vec::new();
         for branch in branches {
-            branch_words(&current, &updated, branch, scratch);
-            if !visited.contains(hash_words(scratch), scratch) {
-                let mut next = snap.clone();
-                next.apply(branch, &updates);
-                fresh.push(SweepFresh {
-                    key: FlatKey::new(scratch.as_slice().into()),
-                    next,
-                });
+            w.planner.successor_into(branch, &mut w.succ);
+            if !visited.contains(hash_words(&w.succ), &w.succ) {
+                fresh.push(FlatKey::new(w.succ.as_slice().into()));
             }
         }
         UnitOutcome::Expanded {
@@ -892,12 +843,16 @@ impl<E: SweepEngine + Send + Sync> Scheme for SweepScheme<E> {
         }
     }
 
-    fn key<'f>(&self, fresh: &'f SweepFresh<E>) -> (Probe<'f>, u64) {
-        (Probe::from(&fresh.key), 1)
+    fn key<'f>(&self, fresh: &'f FlatKey) -> (Probe<'f>, u64) {
+        (Probe::from(fresh), 1)
     }
 
-    fn admit(&self, fresh: SweepFresh<E>) -> E {
-        fresh.next
+    fn admit(&self, fresh: FlatKey) -> Box<[u32]> {
+        fresh.into_words()
+    }
+
+    fn metrics(&self, w: &SweepWorker<'e, E>) -> Metrics {
+        w.planner.metrics()
     }
 }
 
@@ -1377,7 +1332,7 @@ fn search_chunked(
 /// Sweep engines have no automorphism action and no ample-set proof, so
 /// the search declines symmetry and POR the way loop prevention does:
 /// the verdict reports group order 0 and no ample expansions.
-pub(crate) fn sweep_search<E: SweepEngine + Send + Sync>(
+pub(crate) fn sweep_search<E: SweepEngine + Sync>(
     initial: E,
     options: &ExploreOptions,
 ) -> Reachability {
@@ -1386,8 +1341,9 @@ pub(crate) fn sweep_search<E: SweepEngine + Send + Sync>(
     plain.symmetry = false;
     plain.por = false;
     let jobs = plain.effective_jobs();
-    let branches = branch_sets(initial.nodes().len());
-    let found = run_search(&SweepScheme { initial }, &plain, jobs, &branches, CHUNK_LEN)
+    let branches = branch_sets(initial.routers());
+    let scheme = SweepScheme { engine: &initial };
+    let found = run_search(&scheme, &plain, jobs, &branches, CHUNK_LEN)
         .expect("the guard only fires under symmetry");
     report(found, &plain, jobs, None, started)
 }

@@ -319,7 +319,7 @@ pub fn explore(
 /// memoization, loop prevention, and the solver do not apply.
 pub fn explore_sweep<E>(initial: E, options: ExploreOptions) -> Reachability
 where
-    E: SweepEngine + Send + Sync,
+    E: SweepEngine + Sync,
 {
     crate::parallel::sweep_search(initial, &options)
 }

@@ -244,15 +244,30 @@ fn confed_specs_run_on_the_shared_explorer_with_jobs_and_max_bytes() {
         two.contains("update cache:"),
         "metrics block missing:\n{two}"
     );
-    // Everything but the throughput line (rate and worker count) is the
-    // same verdict.
+    // Everything but the throughput line (rate and worker count) and the
+    // update-cache split is the same verdict. Each worker keeps its own
+    // memo, so the hit/miss split varies with the worker count; the
+    // total is fixed, one lookup per router per planned state.
     let verdict = |out: &str| -> Vec<String> {
         out.lines()
-            .filter(|l| !l.contains("states/sec"))
+            .filter(|l| !l.contains("states/sec") && !l.contains("update cache:"))
             .map(str::to_string)
             .collect()
     };
     assert_eq!(verdict(&one), verdict(&two));
+    let lookups = |out: &str| -> u64 {
+        let line = out
+            .lines()
+            .find(|l| l.contains("update cache:"))
+            .expect("update cache line");
+        let (_, counts) = line.split_once('(').expect("hit/miss counts");
+        counts
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse::<u64>().ok())
+            .sum()
+    };
+    assert_eq!(lookups(&one), lookups(&two), "{one}\n{two}");
+    assert_eq!(lookups(&one), 603 * 5, "one plan per state, five routers");
     assert!(
         one.contains("603 reachable configurations (complete search: true)"),
         "{one}"

@@ -21,8 +21,9 @@
 //! paper's `Choose_set` discipline applied to confederations.
 
 use crate::announcement::{Announcement, RouteSource};
-use crate::topology::ConfedTopology;
+use crate::topology::{ConfedTopology, SubAsId};
 use ibgp_proto::selection::{choose_set, MedMode};
+use ibgp_sim::engine::spans;
 use ibgp_sim::{Engine, RoundRobin, SweepEngine, SyncOutcome};
 use ibgp_types::RouterId;
 use ibgp_types::{ExitPathId, ExitPathRef, IgpCost};
@@ -49,57 +50,154 @@ impl fmt::Display for ConfedMode {
     }
 }
 
-/// One router's state: its own exits, candidates, best, and what it
-/// advertises.
-#[derive(Debug, Clone)]
-pub struct NodeState {
-    my_exits: Vec<ExitPathRef>,
+/// One router's state as an update builds it, before it is encoded.
+struct NodeState {
     /// Candidate announcements, keyed by exit-path id.
     possible: BTreeMap<ExitPathId, Announcement>,
     best: Option<Announcement>,
     advertised: Vec<Announcement>,
 }
 
-/// The confederation pull engine.
+impl NodeState {
+    /// The router's span: each candidate as (id, visited sub-ASes,
+    /// source), the best id (`0` for none, `1, id` otherwise), and each
+    /// advertisement as (id, visited sub-ASes), every list
+    /// length-prefixed.
+    fn encode(&self, out: &mut Vec<u32>) {
+        let visited = |a: &Announcement, out: &mut Vec<u32>| {
+            out.push(a.visited.len() as u32);
+            out.extend(a.visited.iter().map(|s| s.0));
+        };
+        out.push(self.possible.len() as u32);
+        for a in self.possible.values() {
+            out.push(a.id().raw());
+            visited(a, out);
+            out.push(a.source as u32);
+        }
+        match &self.best {
+            Some(a) => out.extend([1, a.id().raw()]),
+            None => out.push(0),
+        }
+        out.push(self.advertised.len() as u32);
+        for a in &self.advertised {
+            out.push(a.id().raw());
+            visited(a, out);
+        }
+    }
+}
+
+/// Offset of the best-id flag in a span: past the candidate list, whose
+/// entries are (id, visited length, visited..., source).
+fn best_at(span: &[u32]) -> usize {
+    let mut at = 1;
+    for _ in 0..span[0] {
+        at += 3 + span[at + 1] as usize;
+    }
+    at
+}
+
+/// Offset of the advertisement count in a span.
+fn advertised_at(span: &[u32]) -> usize {
+    let at = best_at(span);
+    at + if span[at] == 0 { 1 } else { 2 }
+}
+
+/// One router's span, read back: its candidates as (id, visited,
+/// source) and its advertisements as (id, visited).
+struct Span<'w> {
+    candidates: Vec<(u32, &'w [u32], RouteSource)>,
+    advertised: Vec<(u32, &'w [u32])>,
+}
+
+impl<'w> Span<'w> {
+    fn read(span: &'w [u32]) -> Self {
+        let mut candidates = Vec::new();
+        let mut at = 1;
+        for _ in 0..span[0] {
+            let (id, len) = (span[at], span[at + 1] as usize);
+            let source = match span[at + 2 + len] {
+                0 => RouteSource::Ebgp,
+                1 => RouteSource::ConfedEbgp,
+                2 => RouteSource::Ibgp,
+                other => unreachable!("route source word {other}"),
+            };
+            candidates.push((id, &span[at + 2..at + 2 + len], source));
+            at += 3 + len;
+        }
+        let mut advertised = Vec::new();
+        let mut at = advertised_at(span);
+        let count = span[at];
+        at += 1;
+        for _ in 0..count {
+            let (id, len) = (span[at], span[at + 1] as usize);
+            advertised.push((id, &span[at + 2..at + 2 + len]));
+            at += 2 + len;
+        }
+        Self {
+            candidates,
+            advertised,
+        }
+    }
+}
+
+/// The confederation pull engine. The configuration is held as words
+/// (see [`SweepEngine`]): per router, its candidates with their visited
+/// sub-ASes and source, its best id, and its advertisements.
 #[derive(Clone)]
 pub struct ConfedEngine<'a> {
     topo: &'a ConfedTopology,
     mode: ConfedMode,
     med_mode: MedMode,
-    nodes: Vec<NodeState>,
-    time: u64,
+    /// Every injected exit path, sorted by id: the path an encoded id
+    /// names.
+    paths: Vec<ExitPathRef>,
+    /// Each router's own exits, sorted by id.
+    my_exits: Vec<Vec<ExitPathRef>>,
+    /// Each router's BGP peers: its sub-AS mesh plus its confed links.
+    peers: Vec<Vec<RouterId>>,
+    words: Vec<u32>,
 }
 
 impl<'a> ConfedEngine<'a> {
     /// Create with the given injected exits (standard MED semantics).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an exit point out of range or a duplicate exit id.
     pub fn new(topo: &'a ConfedTopology, mode: ConfedMode, exits: Vec<ExitPathRef>) -> Self {
         let n = topo.len();
-        let mut nodes = vec![
-            NodeState {
-                my_exits: Vec::new(),
-                possible: BTreeMap::new(),
-                best: None,
-                advertised: Vec::new(),
-            };
-            n
-        ];
-        for p in exits {
+        let mut my_exits = vec![Vec::new(); n];
+        for p in &exits {
             assert!(p.exit_point().index() < n, "exit point out of range");
-            nodes[p.exit_point().index()].my_exits.push(p);
+            my_exits[p.exit_point().index()].push(p.clone());
         }
-        for node in &mut nodes {
-            node.my_exits.sort_by_key(|p| p.id());
-            for p in &node.my_exits {
-                node.possible.insert(p.id(), Announcement::own(p.clone()));
-            }
+        for own in &mut my_exits {
+            own.sort_by_key(|p: &ExitPathRef| p.id());
         }
-        Self {
+        let mut paths = exits;
+        paths.sort_by_key(|p| p.id());
+        assert!(
+            paths.windows(2).all(|w| w[0].id() != w[1].id()),
+            "duplicate exit path id"
+        );
+        let mut engine = Self {
             topo,
             mode,
             med_mode: MedMode::PerNeighborAs,
-            nodes,
-            time: 0,
+            paths,
+            my_exits,
+            peers: topo.routers().map(|u| topo.peers(u)).collect(),
+            words: Vec::new(),
+        };
+        for u in topo.routers() {
+            NodeState {
+                possible: engine.own(u),
+                best: None,
+                advertised: Vec::new(),
+            }
+            .encode(&mut engine.words);
         }
+        engine
     }
 
     /// Override the MED comparison mode (default: per-neighbor-AS).
@@ -107,29 +205,33 @@ impl<'a> ConfedEngine<'a> {
         self.med_mode = mode;
     }
 
-    /// The best announcement at a router.
-    pub fn best(&self, u: RouterId) -> Option<&Announcement> {
-        self.nodes[u.index()].best.as_ref()
-    }
-
     /// The best exit id at a router.
     pub fn best_exit(&self, u: RouterId) -> Option<ExitPathId> {
-        self.nodes[u.index()].best.as_ref().map(Announcement::id)
+        Self::best(self.span(u))
     }
 
-    /// The current candidate announcements at `u`, in exit-path-id order.
-    pub fn candidates(&self, u: RouterId) -> impl Iterator<Item = &Announcement> {
-        self.nodes[u.index()].possible.values()
+    /// `u`'s span in the current configuration.
+    fn span(&self, u: RouterId) -> &[u32] {
+        spans::<Self>(&self.words)
+            .nth(u.index())
+            .expect("router in range")
     }
 
-    /// The currently advertised announcements at `u`.
-    pub fn advertised(&self, u: RouterId) -> &[Announcement] {
-        &self.nodes[u.index()].advertised
+    /// The exit path an encoded id names.
+    fn path(&self, id: u32) -> &ExitPathRef {
+        let at = self
+            .paths
+            .binary_search_by_key(&id, |p| p.id().raw())
+            .expect("encoded ids name injected exits");
+        &self.paths[at]
     }
 
-    /// Steps applied so far.
-    pub fn time(&self) -> u64 {
-        self.time
+    /// `u`'s own exits, as E-BGP announcements.
+    fn own(&self, u: RouterId) -> BTreeMap<ExitPathId, Announcement> {
+        self.my_exits[u.index()]
+            .iter()
+            .map(|p| (p.id(), Announcement::own(p.clone())))
+            .collect()
     }
 
     /// Select the best announcement at `u` from candidates.
@@ -164,18 +266,33 @@ impl<'a> ConfedEngine<'a> {
         pool.first().map(|a| (*a).clone())
     }
 
-    /// What `v` currently offers `u`.
-    fn offers(&self, v: RouterId, u: RouterId) -> Vec<Announcement> {
+    /// What `v`, a peer of `u`, offers `u`, read from `v`'s span: over
+    /// I-BGP within their sub-AS, across a confed link otherwise.
+    ///
+    /// An advertisement is encoded as (id, visited): its `source` is that
+    /// of `v`'s candidate with the same id (every advertised
+    /// announcement is a clone of a candidate), and its `learned_from` is
+    /// not encoded at all, because the receiver re-stamps it. The decoded
+    /// announcement therefore carries the sender's own id there.
+    fn offers(&self, v: RouterId, u: RouterId, span: &[u32]) -> Vec<Announcement> {
         let same = self.topo.same_sub_as(v, u);
-        let confed = self.topo.is_confed_link(v, u);
-        if !same && !confed {
-            return Vec::new();
-        }
         let sender = self.topo.bgp_id(v);
-        self.nodes[v.index()]
-            .advertised
+        let node = Span::read(span);
+        node.advertised
             .iter()
-            .filter_map(|a| {
+            .filter_map(|&(id, visited)| {
+                let source = node
+                    .candidates
+                    .iter()
+                    .find(|c| c.0 == id)
+                    .map(|c| c.2)
+                    .expect("an advertisement is one of the sender's candidates");
+                let a = Announcement {
+                    path: self.path(id).clone(),
+                    visited: visited.iter().map(|&s| SubAsId(s)).collect(),
+                    source,
+                    learned_from: sender,
+                };
                 if same {
                     // I-BGP: only non-I-BGP-learned routes are offered, and
                     // never a router's own exit back to it.
@@ -192,14 +309,13 @@ impl<'a> ConfedEngine<'a> {
             .collect()
     }
 
-    fn compute_update(&self, u: RouterId) -> NodeState {
-        let cur = &self.nodes[u.index()];
-        let mut gathered: BTreeMap<ExitPathId, Announcement> = BTreeMap::new();
-        for p in &cur.my_exits {
-            gathered.insert(p.id(), Announcement::own(p.clone()));
-        }
-        for v in self.topo.peers(u) {
-            for a in self.offers(v, u) {
+    fn compute_update(&self, u: RouterId, inputs: &[u32]) -> NodeState {
+        let mut gathered = self.own(u);
+        let mut rest = inputs;
+        for &v in &self.peers[u.index()] {
+            let (span, tail) = rest.split_at(Self::span_len(rest));
+            rest = tail;
+            for a in self.offers(v, u, span) {
                 gathered
                     .entry(a.id())
                     .and_modify(|prev| {
@@ -227,7 +343,6 @@ impl<'a> ConfedEngine<'a> {
             }
         };
         NodeState {
-            my_exits: cur.my_exits.clone(),
             possible: gathered,
             best,
             advertised,
@@ -241,54 +356,42 @@ impl<'a> ConfedEngine<'a> {
 }
 
 impl SweepEngine for ConfedEngine<'_> {
-    type Node = NodeState;
-
-    fn nodes(&self) -> &[NodeState] {
-        &self.nodes
+    fn routers(&self) -> usize {
+        self.topo.len()
     }
 
-    fn update_all(&self) -> Vec<NodeState> {
-        self.topo
-            .routers()
-            .map(|u| self.compute_update(u))
-            .collect()
+    fn words(&self) -> &[u32] {
+        &self.words
     }
 
-    fn apply(&mut self, set: &[RouterId], updates: &[NodeState]) {
-        for &u in set {
-            self.nodes[u.index()] = updates[u.index()].clone();
-        }
-        self.time += 1;
+    fn set_words(&mut self, words: Vec<u32>) {
+        self.words = words;
     }
 
-    /// Canonical encoding for dedup and cycle detection: each candidate
-    /// as (id, visited sub-ASes, source), the best id, and each
-    /// advertisement as (id, visited sub-ASes), every list
-    /// length-prefixed.
-    fn encode(node: &NodeState, out: &mut Vec<u32>) {
-        let visited = |a: &Announcement, out: &mut Vec<u32>| {
-            out.push(a.visited.len() as u32);
-            out.extend(a.visited.iter().map(|s| s.0));
-        };
-        out.push(node.possible.len() as u32);
-        for a in node.possible.values() {
-            out.push(a.id().raw());
-            visited(a, out);
-            out.push(a.source as u32);
-        }
-        match &node.best {
-            Some(a) => out.extend([1, a.id().raw()]),
-            None => out.push(0),
-        }
-        out.push(node.advertised.len() as u32);
-        for a in &node.advertised {
-            out.push(a.id().raw());
-            visited(a, out);
-        }
+    fn inputs(&self, u: RouterId) -> &[RouterId] {
+        &self.peers[u.index()]
     }
 
-    fn best(node: &NodeState) -> Option<ExitPathId> {
-        node.best.as_ref().map(Announcement::id)
+    /// Rebuild `u`'s candidates from its own exits and what each peer
+    /// offers it (see `ConfedEngine::offers`): the peers' spans determine
+    /// every attribute the offer rule and the selection read.
+    fn update(&self, u: RouterId, inputs: &[u32], out: &mut Vec<u32>) {
+        self.compute_update(u, inputs).encode(out);
+    }
+
+    fn span_len(words: &[u32]) -> usize {
+        let mut at = advertised_at(words);
+        let count = words[at];
+        at += 1;
+        for _ in 0..count {
+            at += 2 + words[at + 1] as usize;
+        }
+        at
+    }
+
+    fn best(span: &[u32]) -> Option<ExitPathId> {
+        let at = best_at(span);
+        (span[at] != 0).then(|| ExitPathId::new(span[at + 1]))
     }
 }
 
@@ -337,10 +440,16 @@ mod tests {
         for u in 0..3 {
             assert_eq!(eng.best_exit(r(u)), Some(ExitPathId::new(1)), "router {u}");
         }
-        // Router 2 received it across the confed link with sub-AS 0 listed.
-        let a = eng.best(r(2)).unwrap();
-        assert_eq!(a.visited, vec![SubAsId(0)]);
-        assert_eq!(a.source, RouteSource::ConfedEbgp);
+        // Router 2 received it across the confed link with sub-AS 0 listed:
+        // read its best candidate back from router 2's words.
+        let node = Span::read(eng.span(r(2)));
+        let &(_, visited, source) = node
+            .candidates
+            .iter()
+            .find(|c| c.0 == 1)
+            .expect("exit 1 is a candidate");
+        assert_eq!(visited, [SubAsId(0).0]);
+        assert_eq!(source, RouteSource::ConfedEbgp);
     }
 
     #[test]
@@ -351,7 +460,7 @@ mod tests {
         let mut eng = ConfedEngine::new(&topo, ConfedMode::SingleBest, vec![exit(1, 1, 0, 0)]);
         eng.run_round_robin(100);
         // Offers from 2 to 1: the route already visited sub0 -> dropped.
-        assert!(eng.offers(r(2), r(1)).is_empty());
+        assert!(eng.offers(r(2), r(1), eng.span(r(2))).is_empty());
     }
 
     #[test]
@@ -363,9 +472,9 @@ mod tests {
         let mut eng = ConfedEngine::new(&topo, ConfedMode::SingleBest, vec![exit(1, 1, 0, 0)]);
         eng.run_round_robin(100);
         // 1 -> 0 over I-BGP: 1's best was learned over I-BGP -> nothing.
-        assert!(eng.offers(r(1), r(0)).is_empty());
+        assert!(eng.offers(r(1), r(0), eng.span(r(1))).is_empty());
         // 1 -> 2 over the confed link: allowed (external behaviour).
-        assert_eq!(eng.offers(r(1), r(2)).len(), 1);
+        assert_eq!(eng.offers(r(1), r(2), eng.span(r(1))).len(), 1);
     }
 
     #[test]

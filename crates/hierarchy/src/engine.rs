@@ -15,6 +15,7 @@
 use crate::topology::{HierTopology, SessionKind};
 use ibgp_proto::selection::choose_set;
 use ibgp_proto::{choose_best, SelectionPolicy};
+use ibgp_sim::engine::spans;
 use ibgp_sim::{Engine, RoundRobin, SweepEngine, SyncOutcome};
 use ibgp_types::{BgpId, ExitPathId, ExitPathRef, Route, RouterId};
 use serde::{Deserialize, Serialize};
@@ -51,6 +52,18 @@ impl fmt::Display for HierMode {
     }
 }
 
+impl Provenance {
+    /// The provenance a span word encodes.
+    fn from_word(word: u32) -> Self {
+        match word {
+            0 => Provenance::Own,
+            1 => Provenance::FromClient,
+            2 => Provenance::FromNonClient,
+            other => unreachable!("provenance word {other}"),
+        }
+    }
+}
+
 /// A held route: the exit path plus how we learned it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Held {
@@ -59,11 +72,8 @@ struct Held {
     learned_from: BgpId,
 }
 
-/// One router's state: its own exits, candidates, best, and what it
-/// advertises.
-#[derive(Debug, Clone)]
-pub struct NodeState {
-    my_exits: Vec<ExitPathRef>,
+/// One router's state as an update builds it, before it is encoded.
+struct NodeState {
     possible: BTreeMap<ExitPathId, Held>,
     best: Option<ExitPathId>,
     /// Advertised routes with their provenance (the receiver-side filter
@@ -71,105 +81,172 @@ pub struct NodeState {
     advertised: Vec<Held>,
 }
 
-/// The pull engine over a hierarchy.
+impl NodeState {
+    /// The router's span: the candidates and the advertisements as
+    /// length-prefixed (id, provenance) lists around the best id (`0`
+    /// for none, `1, id` otherwise).
+    fn encode(&self, out: &mut Vec<u32>) {
+        let held = |h: &Held| [h.path.id().raw(), h.provenance as u32];
+        out.push(self.possible.len() as u32);
+        out.extend(self.possible.values().flat_map(held));
+        match self.best {
+            Some(id) => out.extend([1, id.raw()]),
+            None => out.push(0),
+        }
+        out.push(self.advertised.len() as u32);
+        out.extend(self.advertised.iter().flat_map(held));
+    }
+}
+
+/// Offset of the best-id flag in a span.
+fn best_at(span: &[u32]) -> usize {
+    1 + 2 * span[0] as usize
+}
+
+/// Offset of the advertisement count in a span.
+fn advertised_at(span: &[u32]) -> usize {
+    let at = best_at(span);
+    at + if span[at] == 1 { 2 } else { 1 }
+}
+
+/// The (id, provenance) pairs a span advertises.
+fn advertised(span: &[u32]) -> impl Iterator<Item = (u32, Provenance)> + '_ {
+    let at = advertised_at(span);
+    span[at + 1..at + 1 + 2 * span[at] as usize]
+        .chunks_exact(2)
+        .map(|pair| (pair[0], Provenance::from_word(pair[1])))
+}
+
+/// The offer rule: may a sender whose session to `u` is `kind` offer
+/// `u` a route over `path` that it holds with `provenance`?
+fn may_offer(kind: SessionKind, u: RouterId, path: &ExitPathRef, provenance: Provenance) -> bool {
+    if path.exit_point() == u {
+        return false; // never back to the origin
+    }
+    match provenance {
+        Provenance::Own | Provenance::FromClient => true,
+        Provenance::FromNonClient => kind == SessionKind::Down,
+    }
+}
+
+/// The pull engine over a hierarchy. The configuration is held as words
+/// (see [`SweepEngine`]): per router, its candidates and advertisements
+/// as (id, provenance) pairs around its best id.
 #[derive(Clone)]
 pub struct HierEngine<'a> {
     topo: &'a HierTopology,
     mode: HierMode,
     policy: SelectionPolicy,
-    nodes: Vec<NodeState>,
-    time: u64,
+    /// Every injected exit path, sorted by id: the path an encoded id
+    /// names.
+    paths: Vec<ExitPathRef>,
+    /// Each router's own exits, sorted by id.
+    my_exits: Vec<Vec<ExitPathRef>>,
+    /// Each router's peers, and the session kind to each from the
+    /// router's view.
+    peers: Vec<Vec<RouterId>>,
+    kinds: Vec<Vec<SessionKind>>,
+    words: Vec<u32>,
 }
 
 impl<'a> HierEngine<'a> {
     /// Create with injected exits (paper selection policy).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an exit point out of range or a duplicate exit id.
     pub fn new(topo: &'a HierTopology, mode: HierMode, exits: Vec<ExitPathRef>) -> Self {
         let n = topo.len();
-        let mut nodes = vec![
-            NodeState {
-                my_exits: Vec::new(),
-                possible: BTreeMap::new(),
-                best: None,
-                advertised: Vec::new(),
-            };
-            n
-        ];
-        for p in exits {
+        let mut my_exits = vec![Vec::new(); n];
+        for p in &exits {
             assert!(p.exit_point().index() < n, "exit point out of range");
-            nodes[p.exit_point().index()].my_exits.push(p);
+            my_exits[p.exit_point().index()].push(p.clone());
         }
-        for node in &mut nodes {
-            node.my_exits.sort_by_key(|p| p.id());
-            for p in &node.my_exits {
-                node.possible.insert(
-                    p.id(),
-                    Held {
-                        path: p.clone(),
-                        provenance: Provenance::Own,
-                        learned_from: p.next_hop().bgp_id(),
-                    },
-                );
-            }
+        for own in &mut my_exits {
+            own.sort_by_key(|p: &ExitPathRef| p.id());
         }
-        Self {
+        let mut paths = exits;
+        paths.sort_by_key(|p| p.id());
+        assert!(
+            paths.windows(2).all(|w| w[0].id() != w[1].id()),
+            "duplicate exit path id"
+        );
+        let (peers, kinds) = topo
+            .routers()
+            .map(|u| topo.peers(u).into_iter().unzip())
+            .unzip();
+        let mut engine = Self {
             topo,
             mode,
             policy: SelectionPolicy::PAPER,
-            nodes,
-            time: 0,
+            paths,
+            my_exits,
+            peers,
+            kinds,
+            words: Vec::new(),
+        };
+        for u in topo.routers() {
+            NodeState {
+                possible: engine.own(u),
+                best: None,
+                advertised: Vec::new(),
+            }
+            .encode(&mut engine.words);
         }
+        engine
     }
 
     /// Best exit at a router.
     pub fn best_exit(&self, u: RouterId) -> Option<ExitPathId> {
-        self.nodes[u.index()].best
+        let span = spans::<Self>(&self.words).nth(u.index());
+        Self::best(span.expect("router in range"))
     }
 
-    /// Steps applied.
-    pub fn time(&self) -> u64 {
-        self.time
+    /// The exit path an encoded id names.
+    fn path(&self, id: u32) -> &ExitPathRef {
+        let at = self
+            .paths
+            .binary_search_by_key(&id, |p| p.id().raw())
+            .expect("encoded ids name injected exits");
+        &self.paths[at]
     }
 
-    /// May `v` offer this held route to `u`?
-    fn may_offer(&self, v: RouterId, u: RouterId, held: &Held) -> bool {
-        let Some(kind) = self.topo.session(v, u) else {
-            return false;
-        };
-        if held.path.exit_point() == u {
-            return false; // never back to the origin
-        }
-        match held.provenance {
-            Provenance::Own | Provenance::FromClient => true,
-            Provenance::FromNonClient => kind == SessionKind::Down,
-        }
-    }
-
-    fn compute_update(&self, u: RouterId) -> NodeState {
-        let cur = &self.nodes[u.index()];
-        let mut gathered: BTreeMap<ExitPathId, Held> = BTreeMap::new();
-        for p in &cur.my_exits {
-            gathered.insert(
-                p.id(),
-                Held {
+    /// `u`'s own exits, held as E-BGP routes.
+    fn own(&self, u: RouterId) -> BTreeMap<ExitPathId, Held> {
+        self.my_exits[u.index()]
+            .iter()
+            .map(|p| {
+                let held = Held {
                     path: p.clone(),
                     provenance: Provenance::Own,
                     learned_from: p.next_hop().bgp_id(),
-                },
-            );
-        }
-        for (v, kind_from_u) in self.topo.peers(u) {
+                };
+                (p.id(), held)
+            })
+            .collect()
+    }
+
+    fn compute_update(&self, u: RouterId, inputs: &[u32]) -> NodeState {
+        let mut gathered = self.own(u);
+        let mut rest = inputs;
+        for (&v, &kind_from_u) in self.peers[u.index()].iter().zip(&self.kinds[u.index()]) {
+            let (span, tail) = rest.split_at(Self::span_len(rest));
+            rest = tail;
             let sender = self.topo.bgp_id(v);
             let incoming_provenance = if kind_from_u == SessionKind::Down {
                 Provenance::FromClient
             } else {
                 Provenance::FromNonClient
             };
-            for held in &self.nodes[v.index()].advertised {
-                if !self.may_offer(v, u, held) {
+            // Sessions are symmetric: `v`'s view of this one is the flip.
+            let kind_from_v = kind_from_u.flipped();
+            for (id, provenance) in advertised(span) {
+                let path = self.path(id);
+                if !may_offer(kind_from_v, u, path, provenance) {
                     continue;
                 }
                 let candidate = Held {
-                    path: held.path.clone(),
+                    path: path.clone(),
                     provenance: incoming_provenance,
                     learned_from: sender,
                 };
@@ -217,7 +294,6 @@ impl<'a> HierEngine<'a> {
         };
 
         NodeState {
-            my_exits: cur.my_exits.clone(),
             possible: gathered,
             best,
             advertised,
@@ -231,43 +307,38 @@ impl<'a> HierEngine<'a> {
 }
 
 impl SweepEngine for HierEngine<'_> {
-    type Node = NodeState;
-
-    fn nodes(&self) -> &[NodeState] {
-        &self.nodes
+    fn routers(&self) -> usize {
+        self.topo.len()
     }
 
-    fn update_all(&self) -> Vec<NodeState> {
-        self.topo
-            .routers()
-            .map(|u| self.compute_update(u))
-            .collect()
+    fn words(&self) -> &[u32] {
+        &self.words
     }
 
-    fn apply(&mut self, set: &[RouterId], updates: &[NodeState]) {
-        for &u in set {
-            self.nodes[u.index()] = updates[u.index()].clone();
-        }
-        self.time += 1;
+    fn set_words(&mut self, words: Vec<u32>) {
+        self.words = words;
     }
 
-    /// Canonical encoding for dedup and cycle detection: the candidates
-    /// and the advertisements as length-prefixed (id, provenance) lists
-    /// around the best id.
-    fn encode(node: &NodeState, out: &mut Vec<u32>) {
-        let held = |h: &Held| [h.path.id().raw(), h.provenance as u32];
-        out.push(node.possible.len() as u32);
-        out.extend(node.possible.values().flat_map(held));
-        match node.best {
-            Some(id) => out.extend([1, id.raw()]),
-            None => out.push(0),
-        }
-        out.push(node.advertised.len() as u32);
-        out.extend(node.advertised.iter().flat_map(held));
+    fn inputs(&self, u: RouterId) -> &[RouterId] {
+        &self.peers[u.index()]
     }
 
-    fn best(node: &NodeState) -> Option<ExitPathId> {
-        node.best
+    /// Rebuild `u`'s candidates from its own exits and what each peer
+    /// may offer it. A peer's span records each advertised route as (id,
+    /// provenance) — all the offer rule reads, since the receiver
+    /// re-stamps `learned_from` — so the spans determine the update.
+    fn update(&self, u: RouterId, inputs: &[u32], out: &mut Vec<u32>) {
+        self.compute_update(u, inputs).encode(out);
+    }
+
+    fn span_len(words: &[u32]) -> usize {
+        let at = advertised_at(words);
+        at + 1 + 2 * words[at] as usize
+    }
+
+    fn best(span: &[u32]) -> Option<ExitPathId> {
+        let at = best_at(span);
+        (span[at] == 1).then(|| ExitPathId::new(span[at + 1]))
     }
 }
 
@@ -344,29 +415,26 @@ mod tests {
             "reaches the leaf"
         );
         // Structural check of the offer rule itself.
-        let held = Held {
-            path: exit(9, 1, 0, 3),
-            provenance: Provenance::FromNonClient,
-            learned_from: ibgp_types::BgpId::new(0),
-        };
+        let path = exit(9, 1, 0, 3);
+        let from_1 = |u: u32| topo.session(r(1), r(u)).expect("a session");
         assert!(
-            !eng.may_offer(r(1), r(0), &held),
+            !may_offer(from_1(0), r(0), &path, Provenance::FromNonClient),
             "non-client routes stay down"
         );
-        assert!(eng.may_offer(r(1), r(2), &held));
+        assert!(may_offer(from_1(2), r(2), &path, Provenance::FromNonClient));
     }
 
     #[test]
     fn never_offered_back_to_the_exit_point() {
         let spec = ClusterSpec::flat(0, [1]);
         let topo = crate::topology::HierTopology::new(chain(2), vec![spec]).unwrap();
-        let eng = HierEngine::new(&topo, HierMode::SingleBest, vec![exit(1, 1, 0, 1)]);
-        let held = Held {
-            path: exit(1, 1, 0, 1),
-            provenance: Provenance::FromClient,
-            learned_from: ibgp_types::BgpId::new(1),
-        };
-        assert!(!eng.may_offer(r(0), r(1), &held));
+        let kind = topo.session(r(0), r(1)).expect("a session");
+        assert!(!may_offer(
+            kind,
+            r(1),
+            &exit(1, 1, 0, 1),
+            Provenance::FromClient
+        ));
     }
 
     /// Cross-model check: on a two-level hierarchy the general engine

@@ -27,6 +27,7 @@
 //!                                 # a member M is a router id or a nested ( ... ),
 //!                                 # at most MAX_HCLUSTER_DEPTH levels deep
 //! exit ID at R as A len L med M pref P cost C
+//!                                 # ID below RESERVED_EXIT_ID, L at most MAX_PATH_LEN
 //! ```
 //!
 //! Router BGP identifiers are always the router indices (no scenario in
@@ -52,6 +53,16 @@ pub(crate) const MAX_ROUTERS: usize = 1024;
 /// and walked recursively, so unbounded nesting would overflow the
 /// stack of whichever thread reads it.
 pub(crate) const MAX_HCLUSTER_DEPTH: usize = 64;
+
+/// The exit id the parser refuses: the reflection engine's update memo
+/// separates peers' advertised id lists with this word, so no exit may
+/// carry it.
+pub(crate) const RESERVED_EXIT_ID: u32 = u32::MAX;
+
+/// Longest exit `len` (AS-PATH length) the parser accepts. The path is
+/// built hop by hop, so an absurd length must fail as a parse error
+/// rather than abort the process on allocation.
+pub(crate) const MAX_PATH_LEN: u32 = 1024;
 
 /// A parse failure, with the 1-based line it occurred on (0 for
 /// end-of-input / document-level errors).
@@ -579,6 +590,9 @@ fn parse_exit_line<'a>(
     ln: usize,
 ) -> Result<ExitSpec, FormatError> {
     let id = num(toks.next(), ln, "exit id")?;
+    if id == RESERVED_EXIT_ID {
+        return err(ln, format!("exit id {id} is reserved"));
+    }
     let mut e = ExitSpec::new(id, 0, 0);
     for (key, field) in [
         ("at", "exit point"),
@@ -601,6 +615,12 @@ fn parse_exit_line<'a>(
             "cost" => e.cost = num(toks.next(), ln, field)?,
             _ => unreachable!(),
         }
+    }
+    if e.len > MAX_PATH_LEN {
+        return err(
+            ln,
+            format!("path length {} exceeds the limit of {MAX_PATH_LEN}", e.len),
+        );
     }
     Ok(e)
 }
@@ -779,6 +799,31 @@ mod tests {
                 .is_none_or(|e| !e.to_string().contains("nested deeper")),
             "{spec:?}"
         );
+    }
+
+    /// The reserved exit id and a path length past the limit are
+    /// line-numbered parse errors, not a panic in the reflection engine
+    /// or an allocation the process cannot survive; the largest allowed
+    /// values parse.
+    #[test]
+    fn hostile_exit_fields_are_rejected() {
+        let head = "ibgp 1\nname x\nkind reflection\nprotocol standard\nrouters 1\nmesh\n";
+        let exit = |id: u32, len: u32| {
+            format!("{head}exit {id} at 0 as 1 len {len} med 0 pref 100 cost 0\n")
+        };
+        let e = parse(&exit(RESERVED_EXIT_ID, 1)).unwrap_err();
+        assert_eq!(e.line, 7);
+        assert!(e.to_string().contains("is reserved"), "{e}");
+        let e = parse(&exit(1, u32::MAX)).unwrap_err();
+        assert_eq!(e.line, 7);
+        assert!(e.to_string().contains("exceeds the limit"), "{e}");
+        let e = parse(&exit(1, MAX_PATH_LEN + 1)).unwrap_err();
+        assert!(e.to_string().contains("exceeds the limit"), "{e}");
+        let at_limit = parse(&exit(RESERVED_EXIT_ID - 1, MAX_PATH_LEN)).unwrap();
+        assert_eq!(at_limit.exits[0].id, RESERVED_EXIT_ID - 1);
+        assert_eq!(at_limit.exits[0].len, MAX_PATH_LEN);
+        let v = crate::classify_spec(&at_limit, &crate::HuntOptions::new()).unwrap();
+        assert!(v.complete, "the largest allowed values classify");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::store::{StoredBudget, VerdictStore};
 use ibgp_hunt::{classify_spec, signature, HuntOptions, ScenarioSpec, SpecKind, Verdict};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -56,7 +57,8 @@ pub struct Answer {
     pub signature: String,
 }
 
-/// Result a ticket resolves to: the answer, or a spec/build error.
+/// Result a ticket resolves to: the answer, or a spec/build error (or
+/// the message of a search that panicked).
 pub type JobResult = Result<Answer, String>;
 
 struct Job {
@@ -279,7 +281,24 @@ fn run_job(inner: &Inner, job: &Job) {
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
     inner.searches_run.fetch_add(1, Ordering::Relaxed);
-    match classify_spec(&job.spec, &opts) {
+    // A panicking search answers its ticket with an error instead of
+    // killing the worker: the job then leaves `running` as usual, so an
+    // isomorphic request starts a job of its own rather than riding one
+    // that will never finish.
+    let classified = catch_unwind(AssertUnwindSafe(|| classify_spec(&job.spec, &opts)));
+    let classified = match classified {
+        Ok(classified) => classified,
+        Err(payload) => {
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            job.finish(Err(format!("search panicked: {what}")));
+            return;
+        }
+    };
+    match classified {
         Ok(verdict) => {
             let mut store = inner.store.lock().unwrap();
             if let Err(e) = store.insert(&job.sig, &verdict, job.request.budget()) {

@@ -223,3 +223,71 @@ fn hostile_specs_get_an_error_and_the_daemon_survives() {
     }
     assert_eq!(sched.searches_run(), 0, "nothing reached the scheduler");
 }
+
+/// Hostile exit fields — the reserved exit id, an AS-PATH length of four
+/// billion — are parse errors too: before the parser refused them, one
+/// panicked the search and the other aborted the daemon on allocation.
+#[test]
+fn hostile_exit_fields_get_an_error_and_the_daemon_survives() {
+    let sched = Arc::new(Scheduler::new(VerdictStore::in_memory(), 1));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&sched)).expect("bind");
+    let addr = server.local_addr();
+    let exit = "exit 1 at 2 as 1 len 1 ";
+    assert!(FIG2.contains(exit), "the fixture's first exit line");
+    for (label, replacement) in [
+        ("reserved id", "exit 4294967295 at 2 as 1 len 1 "),
+        ("huge len", "exit 1 at 2 as 1 len 4294967295 "),
+    ] {
+        let text = FIG2.replacen(exit, replacement, 1);
+        let answer = submit_text(addr, &text, &request(10_000)).expect("round trip");
+        assert!(
+            answer.status.starts_with("err "),
+            "{label}: status {}",
+            answer.status
+        );
+        assert_eq!(ping(addr), "ok pong", "{label}: daemon still up");
+    }
+    assert_eq!(sched.searches_run(), 0, "nothing reached the scheduler");
+}
+
+/// Wait for a ticket on a helper thread, failing the test instead of
+/// hanging it if the scheduler never answers.
+fn wait_within(ticket: ibgp_serve::Ticket, label: &str) -> ibgp_serve::JobResult {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(ticket.wait());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{label}: the ticket never resolved"))
+}
+
+/// A search that panics answers its ticket with an error, and neither
+/// the worker nor the job outlives it: an ordinary spec still gets
+/// searched on the single worker, and resubmitting the panicking spec
+/// runs (and fails) again instead of riding a job that never finishes.
+/// The spec is built in code, past the parser's reserved-id check. (The
+/// ordinary spec is a confederation: an isomorphic one would answer the
+/// resubmission from the store.)
+#[test]
+fn a_panicking_search_answers_err_and_keeps_the_worker() {
+    let sched = Scheduler::new(VerdictStore::in_memory(), 1);
+    let mut hostile = spec();
+    hostile.exits[0].id = u32::MAX;
+    let first = wait_within(sched.submit(hostile.clone(), request(10_000)), "first");
+    let err = first.expect_err("the reflection engine refuses the reserved id");
+    assert!(err.starts_with("search panicked: "), "{err}");
+    assert!(err.contains("is reserved"), "{err}");
+
+    let ordinary = ibgp_hunt::generate_spec(ibgp_hunt::Family::Confed, 7, 0);
+    let ok = wait_within(sched.submit(ordinary, request(10_000)), "ordinary");
+    assert!(!ok.expect("the worker survived").cached);
+
+    let again = wait_within(sched.submit(hostile, request(10_000)), "resubmitted");
+    assert!(again.is_err(), "{again:?}");
+    assert_eq!(sched.searches_run(), 3, "the resubmission searched again");
+    assert_eq!(
+        sched.with_store(|s| s.len()),
+        1,
+        "only the ordinary verdict"
+    );
+}

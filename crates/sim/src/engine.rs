@@ -18,11 +18,15 @@
 //! be normalized to the schedule's period.
 //!
 //! The confederation and hierarchy engines share one more shape, the
-//! [`SweepEngine`]: a step is one synchronous sweep of per-router
-//! updates, of which the activated routers' results are installed. Such
-//! an engine implements only the sweep and gets [`Engine`] from it.
+//! [`SweepEngine`]: the configuration is a word string, one
+//! self-delimiting span per router, and a step installs, for each
+//! activated router, the span its update rule computes from its inputs'
+//! spans. Such an engine states only that rule and gets [`Engine`] from
+//! it, through the same [`SweepPlanner`] the reachability search expands
+//! states with.
 
 use crate::activation::Activation;
+use crate::flat::SweepPlanner;
 use crate::sync::SyncOutcome;
 use ibgp_types::{ExitPathId, RouterId};
 use std::collections::hash_map::DefaultHasher;
@@ -103,68 +107,88 @@ pub trait Engine {
     }
 }
 
-/// An engine whose step is one synchronous sweep: every router's next
-/// state is computed from the pre-step configuration
-/// ([`Self::update_all`]), and an activation installs the results of the
-/// activated routers ([`Self::apply`]). One sweep therefore serves the
-/// fixed-point test and every activation set at once, which is what lets
-/// the reachability explorer key each branch successor without stepping
-/// a copy of the engine per branch.
-pub trait SweepEngine: Clone {
-    /// One router's state.
-    type Node;
+/// An engine whose step is one synchronous sweep of per-router updates,
+/// stated as a rule over words.
+///
+/// The configuration is [`Self::words`]: every router's span laid end to
+/// end, router 0 first. A span is the router's canonical state encoding,
+/// injective and self-delimiting ([`Self::span_len`]), so equal words are
+/// equal configurations. Router `u`'s next span is a pure function of
+/// the spans of [`Self::inputs`]`(u)` ([`Self::update`]): its own exits
+/// never change, and everything else it reads is in its peers' spans.
+/// That is what lets a [`SweepPlanner`] memoize each router's update on
+/// exactly those words, and key every branch successor of a sweep by
+/// splicing current and planned spans, with no engine state to copy.
+///
+/// [`Engine`] comes from the same rule: a step plans every router from
+/// the current words and installs the activated routers' planned spans.
+pub trait SweepEngine {
+    /// Number of routers.
+    fn routers(&self) -> usize;
 
-    /// Every router's current state, indexed by router.
-    fn nodes(&self) -> &[Self::Node];
+    /// The current configuration: every router's span, router 0 first.
+    fn words(&self) -> &[u32];
 
-    /// One full synchronous sweep: every router's recomputed state, read
-    /// from the current configuration, indexed by router.
-    fn update_all(&self) -> Vec<Self::Node>;
+    /// Install a configuration in the [`Self::words`] layout.
+    fn set_words(&mut self, words: Vec<u32>);
 
-    /// Install the sweep's results for the routers in `set`.
-    fn apply(&mut self, set: &[RouterId], updates: &[Self::Node]);
+    /// The routers whose spans `u`'s update reads, in the order
+    /// [`Self::update`] takes them.
+    fn inputs(&self, u: RouterId) -> &[RouterId];
 
-    /// Append one router's canonical state encoding to `out`. The
-    /// encoding must be injective and self-delimiting, so that the
-    /// per-router encodings laid end to end identify a configuration.
-    fn encode(node: &Self::Node, out: &mut Vec<u32>);
+    /// Append `u`'s next span to `out`, computed from `inputs`: the spans
+    /// of [`Self::inputs`]`(u)`, laid end to end in that order.
+    fn update(&self, u: RouterId, inputs: &[u32], out: &mut Vec<u32>);
 
-    /// The router's best exit in this state.
-    fn best(node: &Self::Node) -> Option<ExitPathId>;
+    /// The length of the span at the start of `words`.
+    fn span_len(words: &[u32]) -> usize;
+
+    /// The best exit recorded in one router's span.
+    fn best(span: &[u32]) -> Option<ExitPathId>;
 }
 
-/// The per-router encodings of `nodes`, laid end to end.
-fn encode_all<E: SweepEngine>(nodes: &[E::Node]) -> Vec<u32> {
-    let mut words = Vec::new();
-    for node in nodes {
-        E::encode(node, &mut words);
-    }
-    words
+/// The per-router spans of `words`, router 0 first.
+pub fn spans<E: SweepEngine>(mut words: &[u32]) -> impl Iterator<Item = &[u32]> {
+    std::iter::from_fn(move || {
+        if words.is_empty() {
+            return None;
+        }
+        let (span, rest) = words.split_at(E::span_len(words));
+        words = rest;
+        Some(span)
+    })
 }
 
 impl<E: SweepEngine> Engine for E {
     type Key = (Vec<u32>, u64);
 
     fn router_count(&self) -> usize {
-        self.nodes().len()
+        self.routers()
     }
 
     fn step(&mut self, set: &[RouterId]) -> bool {
-        let updates = self.update_all();
-        let stable = encode_all::<E>(&updates) == encode_all::<E>(self.nodes());
-        self.apply(set, &updates);
+        // The planner splices members in ascending order; a step's set
+        // may list them in any order, and more than once.
+        let mut members = set.to_vec();
+        members.sort_unstable();
+        members.dedup();
+        let mut planner = SweepPlanner::new(self);
+        let stable = planner.plan(self.words());
+        let mut next = Vec::new();
+        planner.successor_into(&members, &mut next);
+        self.set_words(next);
         stable
     }
 
     fn is_stable(&self) -> bool {
-        encode_all::<E>(&self.update_all()) == encode_all::<E>(self.nodes())
+        SweepPlanner::new(self).plan(self.words())
     }
 
     fn state_key(&self, phase: u64) -> Self::Key {
-        (encode_all::<E>(self.nodes()), phase)
+        (self.words().to_vec(), phase)
     }
 
     fn best_vector(&self) -> Vec<Option<ExitPathId>> {
-        self.nodes().iter().map(E::best).collect()
+        spans::<E>(self.words()).map(E::best).collect()
     }
 }

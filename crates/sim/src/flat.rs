@@ -30,10 +30,17 @@
 //! message counters — is derived from the current and planned blocks by
 //! word and mask arithmetic.
 //!
+//! [`SweepPlanner`] is the same engine for the confederation and
+//! hierarchy rules ([`SweepEngine`]), whose states are variable-length
+//! per-router spans: each router's next span is memoized on its inputs'
+//! spans in the same router memo, and branch successors are spliced
+//! from current and planned spans.
+//!
 //! The digest is a hand-rolled Fx-style multiply-xor hash (the workspace
 //! deliberately adds no dependencies); it only feeds hash-map bucketing
 //! and the digest-compacted visited set, never equality.
 
+use crate::engine::{spans, SweepEngine};
 use crate::metrics::Metrics;
 use crate::signature::{NodeStateKey, StateKey};
 use crate::sync::{transfer_update, SyncEngine};
@@ -326,39 +333,48 @@ impl Hasher for DigestHasher {
 /// End of a [`RouterMemo`] digest chain.
 const NO_ENTRY: u32 = u32::MAX;
 
-/// One router's update memo: its peers' advertised masks — the only
-/// update inputs that vary during a search — mapped to its next block.
-/// Entries are packed `[masks | block]` at a fixed stride; `index` maps
-/// a key's digest to its newest entry and `chain` links entries that
-/// share a digest.
+/// Words of a [`RouterMemo`] entry before its key: the chain link, the
+/// key length, the value length.
+const ENTRY_HEADER: usize = 3;
+
+/// One router's update memo: the words its update reads, mapped to its
+/// next state words. Entries are packed back to back as
+/// `[chain, key length, value length | key | value]`; `index` maps a
+/// key's digest to its newest entry's offset and `chain` links it to the
+/// previous entry sharing that digest. The length words keep keys and
+/// values of any length apart, so one memo serves the fixed-width flat
+/// blocks and the variable-length sweep spans alike.
 #[derive(Clone, Default)]
 struct RouterMemo {
     index: HashMap<u64, u32, BuildHasherDefault<DigestHasher>>,
     entries: Vec<u32>,
-    chain: Vec<u32>,
 }
 
 impl RouterMemo {
-    fn find(&self, digest: u64, masks: &[u32], stride: usize) -> Option<&[u32]> {
-        let mut at = *self.index.get(&digest)?;
+    fn find(&self, digest: u64, key: &[u32]) -> Option<&[u32]> {
+        let mut at = *self.index.get(&digest)? as usize;
         loop {
-            let entry = &self.entries[at as usize * stride..(at as usize + 1) * stride];
-            if entry[..masks.len()] == *masks {
-                return Some(&entry[masks.len()..]);
+            let header = &self.entries[at..at + ENTRY_HEADER];
+            let (klen, vlen) = (header[1] as usize, header[2] as usize);
+            let body = at + ENTRY_HEADER;
+            if klen == key.len() && self.entries[body..body + klen] == *key {
+                return Some(&self.entries[body + klen..body + klen + vlen]);
             }
-            at = self.chain[at as usize];
-            if at == NO_ENTRY {
+            if header[0] == NO_ENTRY {
                 return None;
             }
+            at = header[0] as usize;
         }
     }
 
-    fn insert(&mut self, digest: u64, masks: &[u32], block: &[u32]) {
-        let at = self.chain.len() as u32;
-        self.entries.extend_from_slice(masks);
-        self.entries.extend_from_slice(block);
-        self.chain
-            .push(self.index.insert(digest, at).unwrap_or(NO_ENTRY));
+    fn insert(&mut self, digest: u64, key: &[u32], value: &[u32]) {
+        let word = |n: usize| u32::try_from(n).expect("memo offsets and lengths fit one word");
+        let at = word(self.entries.len());
+        let chain = self.index.insert(digest, at).unwrap_or(NO_ENTRY);
+        self.entries
+            .extend([chain, word(key.len()), word(value.len())]);
+        self.entries.extend_from_slice(key);
+        self.entries.extend_from_slice(value);
     }
 }
 
@@ -554,7 +570,7 @@ impl<'a> FlatEngine<'a> {
             }
             let digest = hash_words(&self.scratch);
             let masks = &self.scratch[1..];
-            if let Some(block) = self.memo[u].find(digest, masks, masks.len() + nw) {
+            if let Some(block) = self.memo[u].find(digest, masks) {
                 out.copy_from_slice(block);
                 self.metrics.cache_hits += 1;
             } else {
@@ -642,6 +658,140 @@ impl<'a> FlatEngine<'a> {
 
     /// Counters so far: the activation accounting plus the memo's
     /// hit/miss split (both zero when unmemoized).
+    pub fn metrics(&self) -> Metrics {
+        self.metrics
+    }
+}
+
+/// The key-in, key-out successor engine behind the sweep search: what
+/// [`FlatEngine`] is to the flat encoding, for any [`SweepEngine`] rule.
+///
+/// [`SweepPlanner::plan`] loads a key — every router's span laid end to
+/// end — and plans every router's next span, memoized per router on its
+/// inputs' spans laid end to end (self-delimiting spans make that key
+/// unambiguous). Stability, the successor of any activation set, and the
+/// best vector then follow by comparing and splicing the loaded and
+/// planned spans. Counters: activations and best changes, counted per
+/// activated router as [`FlatEngine::successor_into`] counts them, and
+/// the memo's hit/miss split. The sweep rule has no per-session send
+/// model, so messages and paths advertised stay 0.
+///
+/// One planner per worker: it owns its memo and scratch buffers and only
+/// reads the rule.
+pub struct SweepPlanner<'e, E> {
+    engine: &'e E,
+    memo: Vec<RouterMemo>,
+    /// The key loaded by the last [`SweepPlanner::plan`] and every
+    /// router's next span from it, with the end offset of each router's
+    /// span in either.
+    current: Vec<u32>,
+    current_ends: Vec<usize>,
+    planned: Vec<u32>,
+    planned_ends: Vec<usize>,
+    /// Per router: the planned span names a different best exit.
+    best_changed: Vec<bool>,
+    /// Memo-key assembly buffer: router id, then the inputs' spans.
+    scratch: Vec<u32>,
+    metrics: Metrics,
+}
+
+/// The span of router `u` in words whose span ends are `ends`.
+fn span_at<'w>(words: &'w [u32], ends: &[usize], u: usize) -> &'w [u32] {
+    let start = if u == 0 { 0 } else { ends[u - 1] };
+    &words[start..ends[u]]
+}
+
+impl<'e, E: SweepEngine> SweepPlanner<'e, E> {
+    /// A planner for `engine`'s update rule, with an empty memo.
+    pub fn new(engine: &'e E) -> Self {
+        let n = engine.routers();
+        Self {
+            engine,
+            memo: vec![RouterMemo::default(); n],
+            current: Vec::new(),
+            current_ends: Vec::with_capacity(n),
+            planned: Vec::new(),
+            planned_ends: Vec::with_capacity(n),
+            best_changed: vec![false; n],
+            scratch: Vec::new(),
+            metrics: Metrics::default(),
+        }
+    }
+
+    /// Load `key` and plan every router's next span from it. Returns
+    /// whether `key` is a fixed point: every planned span equals the
+    /// current one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` does not hold one span per router.
+    pub fn plan(&mut self, key: &[u32]) -> bool {
+        let n = self.engine.routers();
+        self.current.clear();
+        self.current.extend_from_slice(key);
+        self.current_ends.clear();
+        let mut end = 0;
+        for span in spans::<E>(key) {
+            end += span.len();
+            self.current_ends.push(end);
+        }
+        assert_eq!(self.current_ends.len(), n, "one span per router");
+        self.planned.clear();
+        self.planned_ends.clear();
+        for u in 0..n {
+            let router = RouterId::new(u as u32);
+            self.scratch.clear();
+            self.scratch.push(u as u32);
+            for v in self.engine.inputs(router) {
+                let span = span_at(&self.current, &self.current_ends, v.index());
+                self.scratch.extend_from_slice(span);
+            }
+            let digest = hash_words(&self.scratch);
+            let inputs = &self.scratch[1..];
+            let start = self.planned.len();
+            if let Some(span) = self.memo[u].find(digest, inputs) {
+                self.planned.extend_from_slice(span);
+                self.metrics.cache_hits += 1;
+            } else {
+                self.metrics.cache_misses += 1;
+                self.engine.update(router, inputs, &mut self.planned);
+                self.memo[u].insert(digest, inputs, &self.planned[start..]);
+            }
+            self.planned_ends.push(self.planned.len());
+            let cur = span_at(&self.current, &self.current_ends, u);
+            self.best_changed[u] = E::best(cur) != E::best(&self.planned[start..]);
+        }
+        self.current == self.planned
+    }
+
+    /// Write into `out` the key that activating `set` (ascending router
+    /// ids) from the loaded key produces: the planned span of every
+    /// member, the current span of every other router. Counts one
+    /// activation per member, and a best change per member whose planned
+    /// span names a different best exit.
+    pub fn successor_into(&mut self, set: &[RouterId], out: &mut Vec<u32>) {
+        out.clear();
+        let mut members = set.iter().map(|r| r.index()).peekable();
+        for u in 0..self.current_ends.len() {
+            if members.next_if_eq(&u).is_some() {
+                out.extend_from_slice(span_at(&self.planned, &self.planned_ends, u));
+                self.metrics.activations += 1;
+                self.metrics.best_changes += u64::from(self.best_changed[u]);
+            } else {
+                out.extend_from_slice(span_at(&self.current, &self.current_ends, u));
+            }
+        }
+    }
+
+    /// The loaded key's best exit per router.
+    pub fn best_vector(&self) -> Vec<Option<ExitPathId>> {
+        (0..self.current_ends.len())
+            .map(|u| E::best(span_at(&self.current, &self.current_ends, u)))
+            .collect()
+    }
+
+    /// Counters so far: activations, best changes, and the memo's
+    /// hit/miss split.
     pub fn metrics(&self) -> Metrics {
         self.metrics
     }

@@ -37,7 +37,7 @@ pub use async_engine::{
     FnDelay, SeededJitter, TraceEvent,
 };
 pub use engine::{Engine, SweepEngine};
-pub use flat::{FlatEngine, FlatKey, StateCodec};
+pub use flat::{FlatEngine, FlatKey, StateCodec, SweepPlanner};
 pub use metrics::Metrics;
 pub use multi::{aggregate, MultiPrefixSim, PrefixResult};
 pub use sync::{StepPlan, SyncEngine, SyncOutcome, SyncSnapshot};

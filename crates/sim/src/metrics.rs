@@ -12,19 +12,22 @@ use serde::{Deserialize, Serialize};
 /// Cumulative counters for one simulation run or exploration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Metrics {
-    /// Sync engine: node-activations performed. Async engine: events
-    /// processed.
+    /// Sync and sweep engines: node-activations performed. Async engine:
+    /// events processed.
     pub activations: u64,
     /// Update messages (non-identical advertised sets) sent between peers.
+    /// Always 0 for the confederation and hierarchy sweep engines, whose
+    /// rule has no per-session send model.
     pub messages: u64,
     /// Total exit paths carried in those messages — the advertisement
     /// volume that distinguishes standard (≤1 per message) from Walton
-    /// (≤ m) and the modified protocol (≤ |S′|).
+    /// (≤ m) and the modified protocol (≤ |S′|). Always 0 for the sweep
+    /// engines, like `messages`.
     pub paths_advertised: u64,
     /// Times some node's best route changed.
     pub best_changes: u64,
-    /// Memoized node-update cache hits (sync engine; 0 on the naive
-    /// reference path).
+    /// Memoized node-update cache hits (sync engine and the flat and
+    /// sweep planners; 0 on the naive reference path).
     pub cache_hits: u64,
     /// Memoized node-update cache misses — each miss is one full update
     /// computation.

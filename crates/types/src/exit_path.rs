@@ -190,9 +190,11 @@ impl ExitPathBuilder {
         let exit_point = self.exit_point.ok_or(TypeError::MissingField {
             field: "exit_point",
         })?;
+        // The synthetic next hop wraps for ids near the top of the range
+        // instead of overflowing.
         let next_hop = self
             .next_hop
-            .unwrap_or_else(|| NextHop::synthetic(0x0A00_0000 + self.id.raw()));
+            .unwrap_or_else(|| NextHop::synthetic(0x0A00_0000u32.wrapping_add(self.id.raw())));
         Ok(ExitPath {
             id: self.id,
             local_pref: self.local_pref,
