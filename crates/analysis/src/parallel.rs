@@ -45,54 +45,44 @@
 //! on its own. Keys live in a word arena of fixed-size pages, each key
 //! preceded by its length word, and are probed by `(digest, &[u32])`:
 //! no allocation per key or per bucket, and no page is ever copied when
-//! the set grows. Every scheme hands the set words: flat keys as they
-//! are, sweep keys in their self-delimiting per-router encoding, legacy
-//! [`StateKey`]s in a self-delimiting word encoding.
+//! the set grows. Both schemes hand the set words: flat keys as they
+//! are, sweep keys in their self-delimiting per-router encoding.
 //!
 //! The skeleton knows no engine: the [`Scheme`] trait supplies the
-//! per-worker engine, the frontier state, and the visited key. Three
+//! per-worker engine, the frontier state, and the visited key. Two
 //! schemes drive the same search skeleton:
 //!
-//! * [`FlatScheme`] (the default): states are fixed-width `u32` blocks
-//!   per router encoding (possible, advertised, best) as bitmasks over
-//!   the injected exit-path table (see [`ibgp_sim::flat`]). The frontier
-//!   holds those words and nothing else; a worker's [`FlatEngine`] plans
-//!   every router's next block from a state's key (memoized on the
-//!   router's peers' advertised masks) and writes each branch successor
-//!   into a scratch buffer. Only successors that survive the visited
-//!   pre-filter are copied out, and the coordinator moves an admitted
-//!   one straight into the next frontier. Symmetry acts directly on the
-//!   words via [`FlatAction`]: the frontier keeps the raw successor, the
-//!   visited set its canonical image.
-//! * [`LegacyScheme`] (`flat = false`): the original restore-step-rekey
-//!   path over [`SyncSnapshot`]s and [`StateKey`]s, kept as the
-//!   executable specification the equivalence suites drive the flat path
-//!   against, and as the one scheme that carries loop prevention.
+//! * [`FlatScheme`] (every reflection search without loop prevention):
+//!   states are fixed-width `u32` blocks per router encoding (possible,
+//!   advertised, best) as bitmasks over the injected exit-path table
+//!   (see [`ibgp_sim::flat`]). The frontier holds those words and
+//!   nothing else; a worker's [`FlatEngine`] plans every router's next
+//!   block from a state's key (memoized on the router's peers'
+//!   advertised masks) and writes each branch successor into a scratch
+//!   buffer. Only successors that survive the visited pre-filter are
+//!   copied out, and the coordinator moves an admitted one straight into
+//!   the next frontier. Symmetry acts directly on the words via
+//!   [`FlatAction`]: the frontier keeps the raw successor, the visited
+//!   set its canonical image.
 //! * [`SweepScheme`]: any [`SweepEngine`] — the confederation and
-//!   hierarchy engines — in the shape of [`FlatScheme`]. States are the
+//!   hierarchy engines, and [`LpEngine`] for reflection searches under
+//!   loop prevention — in the shape of [`FlatScheme`]. States are the
 //!   engine's words, one self-delimiting span per router, and the
 //!   frontier holds those words and nothing else. A worker's
 //!   [`SweepPlanner`] plans every router's next span from a state's key
-//!   (memoized on the spans of the routers its update reads) and
-//!   splices each branch successor from current and planned spans into
-//!   a scratch buffer; only successors that survive the visited
-//!   pre-filter are copied out, and an admitted one moves into the next
-//!   frontier. These engines have no automorphism action and no
-//!   ample-set proof, so the sweep search declines symmetry and POR.
+//!   (memoized on the spans of the routers its update reads) and splices
+//!   each branch successor from current and planned spans into a scratch
+//!   buffer; only successors that survive the visited pre-filter are
+//!   copied out, and an admitted one moves into the next frontier. These
+//!   engines have no automorphism action and no ample-set proof, so the
+//!   sweep search declines symmetry and POR.
 //!
-//! The flat and legacy key spaces are bijective
-//! (`StateCodec::{encode_key, decode_key}`), so both schemes visit the
-//! same states in the same order and report identical `states`,
-//! `complete`, `stable_vectors`, cap points and engine counters. Only
-//! encoding-internal gauges (cache splits, digests, byte estimates) may
-//! differ.
-//!
-//! Determinism: a state's outcome is a pure function of its key (or
-//! snapshot) and the visited set at its chunk's start, so the merged view
-//! is bit-identical for every `jobs` value, including the in-thread
-//! `jobs = 1` path. Only the per-worker memo split (cache hit/miss
-//! counts) varies with scheduling. Engine counters count expanded states
-//! only: a capped search reports the work of the chunks it expanded.
+//! Determinism: a state's outcome is a pure function of its key and the
+//! visited set at its chunk's start, so the merged view is bit-identical
+//! for every `jobs` value, including the in-thread `jobs = 1` path. Only
+//! the per-worker memo split (cache hit/miss counts) varies with
+//! scheduling. Engine counters count expanded states only: a capped
+//! search reports the work of the chunks it expanded.
 //!
 //! **Symmetry reduction** ([`ExploreOptions::symmetry`]): each successor
 //! key is canonicalized under the instance's automorphism group (see
@@ -109,8 +99,8 @@
 //! expanding a state's branches, each worker asks the engine for the
 //! state's ample set — the enabled routers whose activation leaves every
 //! transfer-filtered outgoing advertisement unchanged and therefore
-//! commutes with every other transition (see `SyncEngine::ample_set` for
-//! the exactness argument, including the structural discharge of the
+//! commutes with every other transition (see [`FlatEngine::ample_set`]
+//! for the exactness argument, including the structural discharge of the
 //! cycle proviso). When the set is non-empty the state expands through
 //! that one compound branch instead of all `n + 1`; otherwise it falls
 //! back to full expansion. The choice is a pure function of the state,
@@ -124,18 +114,15 @@
 //! digest-only entries (64-bit, collision-counted while exact keys are
 //! still around); if the digests alone breach the budget, the search
 //! stops and reports "ran out of memory budget" instead of OOMing. Byte
-//! estimates are per-encoding (flat keys are much smaller than
-//! `StateKey`s), so a given budget caps the flat and legacy searches at
-//! different points — but identically across `jobs` values within one
-//! encoding.
+//! estimates are per encoding, so a given budget stops a search at the
+//! same point at every `jobs` value.
 
 use crate::reachability::{ExploreOptions, Reachability};
 use crate::symmetry::{FlatAction, SymmetryGroup};
 use ibgp_proto::variants::ProtocolConfig;
 use ibgp_sim::flat::hash_words;
-use ibgp_sim::signature::StateKey;
 use ibgp_sim::{
-    FlatEngine, FlatKey, Metrics, StateCodec, SweepEngine, SweepPlanner, SyncEngine, SyncSnapshot,
+    FlatEngine, FlatKey, LpEngine, Metrics, StateCodec, SweepEngine, SweepPlanner, SyncEngine,
 };
 use ibgp_topology::Topology;
 use ibgp_types::{ExitPathId, ExitPathRef, RouterId, StopReason};
@@ -148,7 +135,7 @@ use std::time::{Duration, Instant};
 const SHARD_COUNT: usize = 64;
 
 /// Accounted bytes per exact entry beyond the key payload (digest,
-/// bucket bookkeeping). An estimate, like `approx_bytes`.
+/// bucket bookkeeping). An estimate, like [`FlatKey::approx_bytes`].
 const ENTRY_OVERHEAD: usize = 48;
 
 /// Accounted bytes per digest-only entry after compaction.
@@ -417,14 +404,16 @@ enum UnitOutcome<F> {
     },
 }
 
-/// One search strategy: the engine that expands states, the frontier
-/// state, and the visited key. Shared (`&self`) across worker threads;
-/// all mutable engine state lives in the per-worker [`Scheme::Engine`].
+/// A frontier state: the words of its key (before canonicalization,
+/// under symmetry).
+type Words = Box<[u32]>;
+
+/// One search strategy: the engine that expands states and the visited
+/// key. Shared (`&self`) across worker threads; all mutable engine
+/// state lives in the per-worker [`Scheme::Engine`].
 trait Scheme: Sync {
     /// A worker's private expansion engine.
     type Engine;
-    /// One frontier state.
-    type Snapshot: Send;
     /// A successor that survived the visited pre-filter.
     type Fresh: Send;
 
@@ -440,7 +429,7 @@ trait Scheme: Sync {
     fn expand_unit(
         &self,
         engine: &mut Self::Engine,
-        snap: &Self::Snapshot,
+        key: &[u32],
         branches: &[Vec<RouterId>],
         visited: &Visited,
     ) -> UnitOutcome<Self::Fresh>;
@@ -450,7 +439,7 @@ trait Scheme: Sync {
     fn key<'f>(&self, fresh: &'f Self::Fresh) -> (Probe<'f>, u64);
 
     /// What the next frontier keeps of an admitted successor.
-    fn admit(&self, fresh: Self::Fresh) -> Self::Snapshot;
+    fn admit(&self, fresh: Self::Fresh) -> Words;
 
     /// All images of a stable best-exit vector under the group (just the
     /// vector itself without symmetry).
@@ -491,174 +480,12 @@ fn unsound<F>() -> UnitOutcome<F> {
     }
 }
 
-/// What every reflection-scheme engine is built from.
-struct SyncSetup<'a> {
-    topo: &'a Topology,
-    config: ProtocolConfig,
-    exits: &'a [ExitPathRef],
-    memoized: bool,
-    loop_prevention: bool,
-}
-
-impl<'a> SyncSetup<'a> {
-    fn engine(&self) -> SyncEngine<'a> {
-        let mut engine = SyncEngine::new(self.topo, self.config, self.exits.to_vec());
-        engine.set_memoized(self.memoized);
-        engine.set_loop_prevention(self.loop_prevention);
-        engine
-    }
-}
-
-/// The original restore-step-rekey path over [`StateKey`]s. Kept as the
-/// executable specification that the equivalence tests drive [`FlatScheme`]
-/// against.
-struct LegacyScheme<'a> {
-    setup: SyncSetup<'a>,
-    group: Option<&'a SymmetryGroup>,
-    por: bool,
-}
-
-/// A legacy successor that survived the pre-filter: its (canonical) key
-/// in the visited set's terms, and the raw snapshot to expand.
-struct LegacyFresh {
-    digest: u64,
-    words: Box<[u32]>,
-    bytes: usize,
-    orbit: u64,
-    snap: SyncSnapshot,
-}
-
-/// A [`StateKey`] as self-delimiting words: per router, each list is
-/// preceded by its length and the best slot is the id plus one (0 for
-/// none); the phase closes the key. Distinct keys of one search never
-/// share an encoding.
-fn state_words(key: &StateKey) -> Vec<u32> {
-    let mut words = Vec::new();
-    for node in &key.nodes {
-        words.push(node.possible.len() as u32);
-        words.extend(node.possible.iter().map(|id| id.raw()));
-        words.push(node.best.map_or(0, |id| id.raw() + 1));
-        words.push(node.advertised.len() as u32);
-        words.extend(node.advertised.iter().map(|id| id.raw()));
-        words.push(node.rr.len() as u32);
-        words.extend_from_slice(&node.rr);
-    }
-    words.extend([key.phase as u32, (key.phase >> 32) as u32]);
-    words
-}
-
-impl LegacyScheme<'_> {
-    /// Canonicalize `raw` under the group; `None` when the guard trips.
-    fn canonical(&self, raw: StateKey) -> Option<(StateKey, u64)> {
-        match self.group {
-            Some(g) if g.guard_trips(&raw) => None,
-            Some(g) => Some(g.canonical(&raw)),
-            None => Some((raw, 1)),
-        }
-    }
-}
-
-impl<'a> Scheme for LegacyScheme<'a> {
-    type Engine = SyncEngine<'a>;
-    type Snapshot = SyncSnapshot;
-    type Fresh = LegacyFresh;
-
-    fn engine(&self) -> SyncEngine<'a> {
-        self.setup.engine()
-    }
-
-    fn initial(&self, engine: &mut SyncEngine) -> Option<LegacyFresh> {
-        let (key, orbit) = self.canonical(engine.state_key(0))?;
-        Some(LegacyFresh {
-            digest: key.digest(),
-            words: state_words(&key).into_boxed_slice(),
-            bytes: key.approx_bytes(),
-            orbit,
-            snap: engine.snapshot(),
-        })
-    }
-
-    fn expand_unit(
-        &self,
-        engine: &mut SyncEngine,
-        snap: &SyncSnapshot,
-        branches: &[Vec<RouterId>],
-        visited: &Visited,
-    ) -> UnitOutcome<LegacyFresh> {
-        engine.restore(snap);
-        let plan = engine.plan();
-        if plan.stable {
-            return UnitOutcome::Stable(engine.best_vector());
-        }
-        // POR: one compound ample branch when the engine can prove the
-        // commutation precondition, the full branch set otherwise. The
-        // choice is a pure function of the snapshot, so verdicts stay
-        // bit-identical at every `jobs` value.
-        let ample = if self.por {
-            engine.ample_set(&plan)
-        } else {
-            None
-        };
-        let reduced = ample.is_some();
-        let mut storage = Vec::new();
-        let mut fresh = Vec::new();
-        for branch in chosen(ample, &mut storage, branches) {
-            engine.restore(snap);
-            engine.step(branch);
-            let Some((key, orbit)) = self.canonical(engine.state_key(0)) else {
-                return unsound();
-            };
-            // Pre-filter against the visited set frozen at the chunk's
-            // start: an order-independent test. Within-chunk duplicates
-            // are the coordinator's job.
-            let digest = key.digest();
-            let words = state_words(&key);
-            if !visited.contains(digest, &words) {
-                fresh.push(LegacyFresh {
-                    digest,
-                    words: words.into_boxed_slice(),
-                    bytes: key.approx_bytes(),
-                    orbit,
-                    snap: engine.snapshot(),
-                });
-            }
-        }
-        UnitOutcome::Expanded {
-            fresh,
-            unsound: false,
-            ample: reduced,
-        }
-    }
-
-    fn key<'f>(&self, fresh: &'f LegacyFresh) -> (Probe<'f>, u64) {
-        let probe = Probe {
-            digest: fresh.digest,
-            words: &fresh.words,
-            bytes: fresh.bytes,
-        };
-        (probe, fresh.orbit)
-    }
-
-    fn admit(&self, fresh: LegacyFresh) -> SyncSnapshot {
-        fresh.snap
-    }
-
-    fn vector_orbit(&self, bv: &[Option<ExitPathId>]) -> Vec<Vec<Option<ExitPathId>>> {
-        match self.group {
-            Some(g) => g.vector_orbit(bv),
-            None => vec![bv.to_vec()],
-        }
-    }
-
-    fn metrics(&self, engine: &SyncEngine) -> Metrics {
-        engine.metrics()
-    }
-}
-
 /// The flat fixed-width encoding path: frontier states are key words,
 /// expanded by a key-in, key-out [`FlatEngine`].
 struct FlatScheme<'a> {
-    setup: SyncSetup<'a>,
+    topo: &'a Topology,
+    config: ProtocolConfig,
+    exits: &'a [ExitPathRef],
     codec: Arc<StateCodec>,
     group: Option<&'a SymmetryGroup>,
     action: Option<FlatAction>,
@@ -679,14 +506,20 @@ struct FlatWorker<'a> {
 /// raw successor the next frontier expands.
 struct FlatFresh {
     key: FlatKey,
-    raw: Option<Box<[u32]>>,
+    raw: Option<Words>,
     orbit: u64,
 }
 
 /// The tie-soundness guard tripped.
 struct Unsound;
 
-impl FlatScheme<'_> {
+impl<'a> FlatScheme<'a> {
+    /// The simulation engine at `config(0)`, which every worker's
+    /// [`FlatEngine`] is built from.
+    fn start(&self) -> SyncEngine<'a> {
+        SyncEngine::new(self.topo, self.config, self.exits.to_vec())
+    }
+
     /// Key the successor in `w.succ`: canonicalize it under the group,
     /// drop it if `visited` already holds it, and only then copy it out
     /// of the scratch buffers.
@@ -718,12 +551,11 @@ impl FlatScheme<'_> {
 
 impl<'a> Scheme for FlatScheme<'a> {
     type Engine = FlatWorker<'a>;
-    type Snapshot = Box<[u32]>;
     type Fresh = FlatFresh;
 
     fn engine(&self) -> FlatWorker<'a> {
         FlatWorker {
-            engine: FlatEngine::new(&self.setup.engine(), Arc::clone(&self.codec)),
+            engine: FlatEngine::new(&self.start(), Arc::clone(&self.codec)),
             succ: vec![0; self.codec.key_words()],
             canon: Vec::new(),
             image: Vec::new(),
@@ -731,7 +563,7 @@ impl<'a> Scheme for FlatScheme<'a> {
     }
 
     fn initial(&self, w: &mut FlatWorker<'a>) -> Option<FlatFresh> {
-        let key = self.codec.encode_key(&self.setup.engine().state_key(0));
+        let key = self.codec.encode_key(&self.start().state_key(0));
         w.succ.copy_from_slice(key.words());
         self.keep(w, None).ok().flatten()
     }
@@ -739,16 +571,17 @@ impl<'a> Scheme for FlatScheme<'a> {
     fn expand_unit(
         &self,
         w: &mut FlatWorker<'a>,
-        snap: &Box<[u32]>,
+        key: &[u32],
         branches: &[Vec<RouterId>],
         visited: &Visited,
     ) -> UnitOutcome<FlatFresh> {
-        if w.engine.plan(snap) {
+        if w.engine.plan(key) {
             return UnitOutcome::Stable(w.engine.best_vector());
         }
-        // POR branch choice: identical rule to the legacy scheme (the
-        // equivalence suite holds the two encodings to the same reduced
-        // state space).
+        // POR: one compound ample branch when the engine can prove the
+        // commutation precondition, the full branch set otherwise. The
+        // choice is a pure function of the key, so verdicts stay
+        // bit-identical at every `jobs` value.
         let ample = if self.por { w.engine.ample_set() } else { None };
         let reduced = ample.is_some();
         let mut storage = Vec::new();
@@ -772,7 +605,7 @@ impl<'a> Scheme for FlatScheme<'a> {
         (Probe::from(&fresh.key), fresh.orbit)
     }
 
-    fn admit(&self, fresh: FlatFresh) -> Box<[u32]> {
+    fn admit(&self, fresh: FlatFresh) -> Words {
         fresh.raw.unwrap_or_else(|| fresh.key.into_words())
     }
 
@@ -804,7 +637,6 @@ struct SweepWorker<'e, E> {
 
 impl<'e, E: SweepEngine + Sync> Scheme for SweepScheme<'e, E> {
     type Engine = SweepWorker<'e, E>;
-    type Snapshot = Box<[u32]>;
     type Fresh = FlatKey;
 
     fn engine(&self) -> SweepWorker<'e, E> {
@@ -821,12 +653,12 @@ impl<'e, E: SweepEngine + Sync> Scheme for SweepScheme<'e, E> {
     fn expand_unit(
         &self,
         w: &mut SweepWorker<'e, E>,
-        snap: &Box<[u32]>,
+        key: &[u32],
         branches: &[Vec<RouterId>],
         visited: &Visited,
     ) -> UnitOutcome<FlatKey> {
         // One plan serves the fixed-point test and every branch.
-        if w.planner.plan(snap) {
+        if w.planner.plan(key) {
             return UnitOutcome::Stable(w.planner.best_vector());
         }
         let mut fresh = Vec::new();
@@ -847,7 +679,7 @@ impl<'e, E: SweepEngine + Sync> Scheme for SweepScheme<'e, E> {
         (Probe::from(fresh), 1)
     }
 
-    fn admit(&self, fresh: FlatKey) -> Box<[u32]> {
+    fn admit(&self, fresh: FlatKey) -> Words {
         fresh.into_words()
     }
 
@@ -859,10 +691,10 @@ impl<'e, E: SweepEngine + Sync> Scheme for SweepScheme<'e, E> {
 /// One worker handoff: a slice of a chunk plus a shared handle on the
 /// frozen visited set (returned with the results so the coordinator can
 /// reclaim unique ownership between chunks).
-struct Batch<T> {
+struct Batch {
     /// Index of `units[0]` within the chunk.
     base: usize,
-    units: Vec<T>,
+    units: Vec<Words>,
     visited: Arc<Visited>,
 }
 
@@ -943,7 +775,7 @@ fn merge<S: Scheme>(
     p: &mut Progress,
     visited: &mut Visited,
     outcomes: Vec<UnitOutcome<S::Fresh>>,
-    next: &mut Vec<S::Snapshot>,
+    next: &mut Vec<Words>,
     max_states: usize,
     max_bytes: Option<usize>,
 ) -> bool {
@@ -1012,11 +844,11 @@ fn merge<S: Scheme>(
 /// unique ownership to insert.
 fn drive<S: Scheme>(
     scheme: &S,
-    mut frontier: Vec<S::Snapshot>,
+    mut frontier: Vec<Words>,
     visited: &mut Arc<Visited>,
     start: DriveStart,
     chunk_len: usize,
-    mut expand: impl FnMut(Vec<S::Snapshot>, &Arc<Visited>) -> Vec<UnitOutcome<S::Fresh>>,
+    mut expand: impl FnMut(Vec<Words>, &Arc<Visited>) -> Vec<UnitOutcome<S::Fresh>>,
 ) -> Progress {
     assert!(chunk_len > 0, "chunks hold at least one state");
     let DriveStart {
@@ -1061,7 +893,7 @@ fn drive<S: Scheme>(
         let mut next = Vec::new();
         let mut pending = std::mem::take(&mut frontier).into_iter();
         loop {
-            let chunk: Vec<S::Snapshot> = pending.by_ref().take(chunk_len).collect();
+            let chunk: Vec<Words> = pending.by_ref().take(chunk_len).collect();
             if chunk.is_empty() {
                 break;
             }
@@ -1157,14 +989,14 @@ fn run_search<S: Scheme>(
             |units, visited| {
                 units
                     .iter()
-                    .map(|snap| scheme.expand_unit(&mut engine, snap, branches, visited))
+                    .map(|key| scheme.expand_unit(&mut engine, key, branches, visited))
                     .collect()
             },
         );
         (p, scheme.metrics(&engine))
     } else {
         std::thread::scope(|scope| {
-            let (work_tx, work_rx) = mpsc::channel::<Batch<S::Snapshot>>();
+            let (work_tx, work_rx) = mpsc::channel::<Batch>();
             let work_rx = Arc::new(Mutex::new(work_rx));
             let (res_tx, res_rx) = mpsc::channel::<WorkerMsg<S::Fresh>>();
             for _ in 0..jobs {
@@ -1185,7 +1017,7 @@ fn run_search<S: Scheme>(
                         };
                         let outcomes = units
                             .iter()
-                            .map(|snap| scheme.expand_unit(&mut engine, snap, branches, &visited))
+                            .map(|key| scheme.expand_unit(&mut engine, key, branches, &visited))
                             .collect();
                         // Ship the visited handle back with the results:
                         // once the coordinator has drained the chunk, it
@@ -1221,7 +1053,7 @@ fn run_search<S: Scheme>(
                     let mut units = units.into_iter();
                     let mut base = 0usize;
                     while base < len {
-                        let batch: Vec<S::Snapshot> = units.by_ref().take(batch_size).collect();
+                        let batch: Vec<Words> = units.by_ref().take(batch_size).collect();
                         let sent = batch.len();
                         work_tx
                             .send(Batch {
@@ -1315,35 +1147,39 @@ fn search_chunked(
 ) -> Reachability {
     let started = Instant::now();
     if options.loop_prevention {
-        // The reflection-attribute words live only in the legacy state
-        // keys: the flat codec has no slots for them, the automorphism
-        // action does not relabel them, and the ample-set proof ignores
-        // them. Force the one scheme that carries them.
-        let mut legacy = options.clone();
-        legacy.flat = false;
-        legacy.symmetry = false;
-        legacy.por = false;
-        return search_inner(topo, config, exits, &legacy, started, chunk_len);
+        // The reflection attributes live in the loop-prevention rule's
+        // spans, which the flat codec has no slots for.
+        let initial = LpEngine::new(topo, config, exits);
+        return sweep_chunked(initial, options, started, chunk_len);
     }
     search_inner(topo, config, exits, options, started, chunk_len)
 }
 
 /// The search behind [`crate::reachability::explore_sweep`].
-/// Sweep engines have no automorphism action and no ample-set proof, so
-/// the search declines symmetry and POR the way loop prevention does:
-/// the verdict reports group order 0 and no ample expansions.
 pub(crate) fn sweep_search<E: SweepEngine + Sync>(
     initial: E,
     options: &ExploreOptions,
 ) -> Reachability {
-    let started = Instant::now();
+    sweep_chunked(initial, options, Instant::now(), CHUNK_LEN)
+}
+
+/// [`sweep_search`] at an explicit chunk length. Sweep engines have no
+/// automorphism action and no ample-set proof, so the search declines
+/// symmetry and POR: the verdict reports group order 0 and no ample
+/// expansions.
+fn sweep_chunked<E: SweepEngine + Sync>(
+    initial: E,
+    options: &ExploreOptions,
+    started: Instant,
+    chunk_len: usize,
+) -> Reachability {
     let mut plain = options.clone();
     plain.symmetry = false;
     plain.por = false;
     let jobs = plain.effective_jobs();
     let branches = branch_sets(initial.routers());
     let scheme = SweepScheme { engine: &initial };
-    let found = run_search(&scheme, &plain, jobs, &branches, CHUNK_LEN)
+    let found = run_search(&scheme, &plain, jobs, &branches, chunk_len)
         .expect("the guard only fires under symmetry");
     report(found, &plain, jobs, None, started)
 }
@@ -1386,33 +1222,17 @@ fn search_inner(
         .then(|| SymmetryGroup::compute(topo, config, &exits));
     let group = group_storage.as_ref().filter(|g| !g.is_trivial());
     let branches = branch_sets(topo.len());
-    let setup = SyncSetup {
+    let codec = Arc::new(StateCodec::new(topo.len(), &exits));
+    let scheme = FlatScheme {
         topo,
         config,
         exits: &exits,
-        memoized: options.memoized,
-        loop_prevention: options.loop_prevention,
+        action: group.map(|g| FlatAction::new(g, &codec)),
+        codec,
+        group,
+        por: options.por,
     };
-
-    let found = if options.flat {
-        let codec = Arc::new(StateCodec::new(topo.len(), &exits));
-        let action = group.map(|g| FlatAction::new(g, &codec));
-        let scheme = FlatScheme {
-            setup,
-            codec,
-            group,
-            action,
-            por: options.por,
-        };
-        run_search(&scheme, options, jobs, &branches, chunk_len)
-    } else {
-        let scheme = LegacyScheme {
-            setup,
-            group,
-            por: options.por,
-        };
-        run_search(&scheme, options, jobs, &branches, chunk_len)
-    };
+    let found = run_search(&scheme, options, jobs, &branches, chunk_len);
 
     match found {
         Some(found) => report(found, options, jobs, group_storage.as_ref(), started),
@@ -1558,7 +1378,8 @@ mod tests {
     /// stop, stable vectors, frontier depth and peak queue match the
     /// whole-level merge at chunk lengths 1, 2 and 3 — capped searches
     /// included, where the cap fires inside a level spanning many chunks
-    /// — and complete searches do the same engine work too.
+    /// — and complete searches do the same engine work too. Both schemes:
+    /// flat (with and without POR) and the loop-prevention sweep rule.
     #[test]
     fn chunk_length_never_changes_the_search() {
         let (topo, exits) = two_clusters();
@@ -1568,10 +1389,10 @@ mod tests {
             ProtocolConfig::MODIFIED,
         ] {
             for cap in [500_000, 9, 150] {
-                for (flat, por) in [(true, false), (false, false), (true, true)] {
+                for (lp, por) in [(false, false), (true, false), (false, true)] {
                     let opts = ExploreOptions::new()
                         .max_states(cap)
-                        .flat_encoding(flat)
+                        .loop_prevention(lp)
                         .por(por);
                     let whole = search_chunked(&topo, config, exits.clone(), &opts, WHOLE_LEVEL);
                     assert!(whole.metrics.peak_queue > 3, "levels span several chunks");
@@ -1585,7 +1406,7 @@ mod tests {
                                 chunk,
                             );
                             let label = format!(
-                                "{config:?} cap {cap} flat {flat} por {por} chunk {chunk} jobs {jobs}"
+                                "{config:?} cap {cap} lp {lp} por {por} chunk {chunk} jobs {jobs}"
                             );
                             assert_same_search(&got, &whole, &label);
                         }
@@ -1600,23 +1421,20 @@ mod tests {
     #[test]
     fn chunk_length_never_changes_a_symmetric_search() {
         let (topo, exits) = rotation();
-        for flat in [true, false] {
-            let opts = ExploreOptions::new().symmetry(true).flat_encoding(flat);
-            let whole = search_chunked(
-                &topo,
-                ProtocolConfig::STANDARD,
-                exits.clone(),
-                &opts,
-                WHOLE_LEVEL,
-            );
-            assert!(whole.complete);
-            assert_eq!(whole.metrics.group_order, 3);
-            assert!(whole.metrics.peak_queue > 3, "levels span several chunks");
-            for chunk in [1, 2, 3] {
-                let got =
-                    search_chunked(&topo, ProtocolConfig::STANDARD, exits.clone(), &opts, chunk);
-                assert_same_search(&got, &whole, &format!("flat {flat} chunk {chunk}"));
-            }
+        let opts = ExploreOptions::new().symmetry(true);
+        let whole = search_chunked(
+            &topo,
+            ProtocolConfig::STANDARD,
+            exits.clone(),
+            &opts,
+            WHOLE_LEVEL,
+        );
+        assert!(whole.complete);
+        assert_eq!(whole.metrics.group_order, 3);
+        assert!(whole.metrics.peak_queue > 3, "levels span several chunks");
+        for chunk in [1, 2, 3] {
+            let got = search_chunked(&topo, ProtocolConfig::STANDARD, exits.clone(), &opts, chunk);
+            assert_same_search(&got, &whole, &format!("chunk {chunk}"));
         }
     }
 

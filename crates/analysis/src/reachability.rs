@@ -15,8 +15,13 @@
 //! search of an NP-complete question and is documented in DESIGN.md.)
 //!
 //! The search itself is a level-synchronous BFS that can fan each level
-//! out across a pool of worker threads (see [`crate::parallel`]); the
+//! out across a pool of worker threads (see `crate::parallel`); the
 //! result is bit-identical for every [`ExploreOptions::jobs`] setting.
+//! States are encoded keys, expanded by the paper's `Transfer` relation
+//! (`ibgp_sim::FlatEngine`) or, under [`ExploreOptions::loop_prevention`],
+//! by the message-level reflection rule (`ibgp_sim::LpEngine`); one
+//! search serves both, and the confederation and hierarchy engines too
+//! ([`explore_sweep`]).
 
 use ibgp_proto::variants::ProtocolConfig;
 use ibgp_sim::{Metrics, SweepEngine};
@@ -33,11 +38,9 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
     pub(crate) max_states: usize,
-    pub(crate) memoized: bool,
     pub(crate) jobs: usize,
     pub(crate) symmetry: bool,
     pub(crate) max_bytes: Option<usize>,
-    pub(crate) flat: bool,
     pub(crate) por: bool,
     pub(crate) deadline: Option<Instant>,
     pub(crate) solver: SolverMode,
@@ -58,16 +61,14 @@ impl From<usize> for ExploreOptions {
 pub(crate) const MAX_AUTO_JOBS: usize = 8;
 
 impl Default for ExploreOptions {
-    /// 500 000-state cap, memoized updates, flat state encoding,
-    /// auto-sized worker pool, no symmetry reduction, unbounded memory.
+    /// 500 000-state cap, auto-sized worker pool, no symmetry reduction,
+    /// unbounded memory.
     fn default() -> Self {
         Self {
             max_states: 500_000,
-            memoized: true,
             jobs: 0,
             symmetry: false,
             max_bytes: None,
-            flat: true,
             por: false,
             deadline: None,
             solver: SolverMode::Search,
@@ -77,8 +78,7 @@ impl Default for ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// The defaults: 500 000-state cap, memoized updates, auto-sized
-    /// worker pool.
+    /// The defaults: 500 000-state cap, auto-sized worker pool.
     pub fn new() -> Self {
         Self::default()
     }
@@ -89,32 +89,11 @@ impl ExploreOptions {
         self
     }
 
-    /// Use the engine's memoized update path (default) or the naive
-    /// reference path that recomputes every node update from scratch.
-    pub fn memoized(mut self, memoized: bool) -> Self {
-        self.memoized = memoized;
-        self
-    }
-
     /// Worker threads for the search. `1` explores in-thread; `0` (the
     /// default) means one worker per available hardware thread, capped
     /// at 8. The result is bit-identical for every value.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Use the flat fixed-width state encoding (the default) or the
-    /// legacy `StateKey` path. The two visit identical state spaces and
-    /// report identical verdicts, counts, and stable vectors (the
-    /// equivalence suite in `tests/flat_state_equivalence.rs` enforces
-    /// this); the legacy path survives as the executable specification
-    /// and for A/B throughput measurement. Note that
-    /// [`Self::max_bytes`] budgets are accounted per-encoding — flat
-    /// keys are smaller, so a given budget caps the two paths at
-    /// different points.
-    pub fn flat_encoding(mut self, flat: bool) -> Self {
-        self.flat = flat;
         self
     }
 
@@ -138,7 +117,7 @@ impl ExploreOptions {
     /// At each state the explorer asks the engine for an ample set — the
     /// enabled routers whose activation leaves every transfer-filtered
     /// outgoing advertisement unchanged, and which therefore commute
-    /// with every other transition (see `SyncEngine::ample_set`) — and
+    /// with every other transition (see `FlatEngine::ample_set`) — and
     /// expands only that one compound branch instead of all `n + 1`.
     /// When no activation's commutation precondition can be proven the
     /// state falls back to full expansion, and the cycle proviso is
@@ -199,11 +178,11 @@ impl ExploreOptions {
     /// non-client route → clients only, own E-BGP route → everyone).
     /// Off (the default), propagation uses the paper's §4 `Transfer`
     /// predicate, so every existing verdict stays reproducible. On, the
-    /// search runs the legacy state encoding and turns symmetry and
-    /// partial-order reduction off (the attribute words are not encoded
-    /// in the flat codec and are not automorphism-canonicalized), and
-    /// the constraint solver declines — [`crate::classify`] falls back
-    /// to search transparently.
+    /// search expands `ibgp_sim::LpEngine`'s per-router spans, which
+    /// carry each advertised route's attributes, and declines symmetry
+    /// and partial-order reduction as every sweep search does (group
+    /// order 0, no ample expansions); the constraint solver declines too
+    /// — [`crate::classify`] falls back to search transparently.
     pub fn loop_prevention(mut self, loop_prevention: bool) -> Self {
         self.loop_prevention = loop_prevention;
         self
@@ -308,15 +287,17 @@ pub fn explore(
 }
 
 /// Explore every configuration reachable from `initial` for an engine
-/// of the one-sweep shape — the confederation and hierarchy engines.
+/// of the one-sweep shape — the confederation and hierarchy engines
+/// (and `ibgp_sim::LpEngine`, which [`explore`] runs under loop
+/// prevention).
 ///
 /// The same level-synchronous search as [`explore`], so the state cap,
 /// [`ExploreOptions::max_bytes`], [`ExploreOptions::deadline`], and
 /// [`ExploreOptions::jobs`] apply, with bit-identical results at every
 /// worker count. Symmetry and partial-order reduction are declined
 /// (neither has a proof for these engines): the metrics report group
-/// order 0 and no ample expansions. The flat/legacy encoding choice,
-/// memoization, loop prevention, and the solver do not apply.
+/// order 0 and no ample expansions. Loop prevention and the solver do
+/// not apply.
 pub fn explore_sweep<E>(initial: E, options: ExploreOptions) -> Reachability
 where
     E: SweepEngine + Sync,
@@ -413,30 +394,16 @@ mod tests {
         );
     }
 
-    /// The exploration reports search observability and a warm cache, and
-    /// the memoized and naive engines agree on every verdict.
+    /// The exploration reports search observability and a warm cache.
     #[test]
-    fn exploration_metrics_and_naive_agreement() {
+    fn exploration_reports_its_metrics() {
         let (topo, exits) = disagree();
         let fast = explore(
             &topo,
             ProtocolConfig::STANDARD,
-            exits.clone(),
+            exits,
             ExploreOptions::new().max_states(100_000).jobs(1),
         );
-        let slow = explore(
-            &topo,
-            ProtocolConfig::STANDARD,
-            exits,
-            ExploreOptions::new()
-                .max_states(100_000)
-                .jobs(1)
-                .memoized(false),
-        );
-        assert_eq!(fast.states, slow.states);
-        assert_eq!(fast.complete, slow.complete);
-        assert_eq!(fast.stable_vectors, slow.stable_vectors);
-
         let m = fast.metrics;
         assert_eq!(m.states_visited as usize, fast.states);
         assert!(m.cache_hits > 0, "replays must hit the memo");
@@ -448,9 +415,6 @@ mod tests {
         assert_eq!(m.workers, 1);
         assert_eq!(m.handoffs, 0, "in-thread path hands nothing off");
         assert!(m.peak_shard > 0);
-        // The naive path never touches the cache.
-        assert_eq!(slow.metrics.cache_hits, 0);
-        assert_eq!(slow.metrics.cache_misses, 0);
     }
 
     #[test]
@@ -512,46 +476,7 @@ mod tests {
         assert!(auto >= 1, "auto jobs must run at least one worker");
         assert!(auto <= MAX_AUTO_JOBS, "auto jobs capped at {MAX_AUTO_JOBS}");
         assert_eq!(ExploreOptions::new().jobs(3).effective_jobs(), 3);
-        // The default is auto, and the two encodings share it.
-        assert_eq!(ExploreOptions::default().jobs, 0);
-        assert!(ExploreOptions::default().flat);
-    }
-
-    /// The two state encodings agree on everything observable, and the
-    /// default (flat) one reports the legacy one's exact search shape.
-    #[test]
-    fn flat_and_legacy_encodings_agree() {
-        let (topo, exits) = disagree();
-        for config in [ProtocolConfig::STANDARD, ProtocolConfig::MODIFIED] {
-            let flat = explore(
-                &topo,
-                config,
-                exits.clone(),
-                ExploreOptions::new().max_states(100_000).jobs(1),
-            );
-            let legacy = explore(
-                &topo,
-                config,
-                exits.clone(),
-                ExploreOptions::new()
-                    .max_states(100_000)
-                    .jobs(1)
-                    .flat_encoding(false),
-            );
-            assert_eq!(flat.states, legacy.states);
-            assert_eq!(flat.complete, legacy.complete);
-            assert_eq!(flat.stable_vectors, legacy.stable_vectors);
-            assert_eq!(flat.stop, legacy.stop);
-            assert_eq!(flat.metrics.activations, legacy.metrics.activations);
-            assert_eq!(flat.metrics.messages, legacy.metrics.messages);
-            assert_eq!(
-                flat.metrics.paths_advertised,
-                legacy.metrics.paths_advertised
-            );
-            assert_eq!(flat.metrics.best_changes, legacy.metrics.best_changes);
-            assert_eq!(flat.metrics.frontier_depth, legacy.metrics.frontier_depth);
-            assert_eq!(flat.metrics.peak_queue, legacy.metrics.peak_queue);
-        }
+        assert_eq!(ExploreOptions::default().jobs, 0, "the default is auto");
     }
 
     /// Cap determinism: the capped prefix is identical at every thread

@@ -9,9 +9,10 @@
 //! router `u` maps to the attribute-identical exit at `π(u)`, with
 //! identical-attribute exits at one router matched in ascending-id order.
 //! Candidates with no consistent `σ` are rejected, so every element of
-//! the group acts on whole configurations: `(π, σ)` applied to a
-//! [`StateKey`] permutes the node slots by `π` and renames every exit id
-//! by `σ`.
+//! the group acts on whole configurations: `(π, σ)` applied to a state
+//! permutes the router blocks by `π` and renames every exit by `σ`.
+//! [`FlatAction`] compiles the group to act directly on the search's
+//! flat key words.
 //!
 //! **Soundness.** `config(0)` is invariant under every element, and one
 //! activation step commutes with the group action — the selection rules
@@ -24,7 +25,7 @@
 //! the router, and IGP metric from the router. A reachable state in which
 //! some router's `PossibleExits` contains a dangerous pair *might* put an
 //! identifier-order rule in charge, so the search checks every generated
-//! state with [`SymmetryGroup::guard_trips`] and, on the first hit,
+//! state with [`FlatAction::guard_trips`] and, on the first hit,
 //! restarts without symmetry. Tie *occurrence* is itself defined by
 //! preserved quantities, so checking orbit representatives covers every
 //! orbit member; if no state trips the guard, no identifier-order rule
@@ -33,7 +34,6 @@
 use ibgp_proto::variants::ProtocolConfig;
 use ibgp_proto::MedMode;
 use ibgp_sim::flat::StateCodec;
-use ibgp_sim::signature::{NodeStateKey, StateKey};
 use ibgp_topology::{canon, Topology};
 use ibgp_types::{ExitPathId, ExitPathRef, RouterId};
 use std::collections::hash_map::DefaultHasher;
@@ -54,38 +54,6 @@ impl Element {
         match self.exits.binary_search_by_key(&p, |e| e.0) {
             Ok(i) => self.exits[i].1,
             Err(_) => p,
-        }
-    }
-
-    fn apply_key(&self, key: &StateKey) -> StateKey {
-        let mut nodes = vec![
-            NodeStateKey {
-                possible: Vec::new(),
-                best: None,
-                advertised: Vec::new(),
-                rr: Vec::new(),
-            };
-            key.nodes.len()
-        ];
-        for (u, node) in key.nodes.iter().enumerate() {
-            let mut possible: Vec<ExitPathId> =
-                node.possible.iter().map(|&p| self.map_exit(p)).collect();
-            possible.sort_unstable();
-            let mut advertised: Vec<ExitPathId> =
-                node.advertised.iter().map(|&p| self.map_exit(p)).collect();
-            advertised.sort_unstable();
-            nodes[self.routers[u] as usize] = NodeStateKey {
-                possible,
-                best: node.best.map(|p| self.map_exit(p)),
-                advertised,
-                // Loop-prevention attribute words never appear here:
-                // symmetry is forced off whenever loop prevention is on.
-                rr: Vec::new(),
-            };
-        }
-        StateKey {
-            nodes,
-            phase: key.phase,
         }
     }
 
@@ -260,44 +228,11 @@ impl SymmetryGroup {
         self.elements.len() <= 1
     }
 
-    /// The lexicographically minimal image of `key` under the group, and
-    /// the size of `key`'s orbit (by orbit–stabilizer, counted from the
-    /// stabilizer while all images are computed anyway).
-    pub(crate) fn canonical(&self, key: &StateKey) -> (StateKey, u64) {
-        let mut best: Option<StateKey> = None;
-        let mut stabilizer = 0u64;
-        for el in &self.elements {
-            let img = el.apply_key(key);
-            if &img == key {
-                stabilizer += 1;
-            }
-            if best.as_ref().is_none_or(|b| img < *b) {
-                best = Some(img);
-            }
-        }
-        let best = best.expect("group has at least the identity");
-        (best, self.elements.len() as u64 / stabilizer.max(1))
-    }
-
     /// Every group image of a stable best-exit vector (duplicates
     /// included; callers dedup). Expanding each found fixed point through
     /// the group restores exactly the plain search's stable-vector set.
     pub(crate) fn vector_orbit(&self, bv: &[Option<ExitPathId>]) -> Vec<Vec<Option<ExitPathId>>> {
         self.elements.iter().map(|el| el.apply_vector(bv)).collect()
-    }
-
-    /// Does any router's `PossibleExits` in `key` contain a dangerous
-    /// pair — i.e. could an identifier-order tie-break have discriminated
-    /// while producing or leaving this state?
-    pub(crate) fn guard_trips(&self, key: &StateKey) -> bool {
-        if !self.has_danger {
-            return false;
-        }
-        key.nodes.iter().enumerate().any(|(u, node)| {
-            self.dangerous[u].iter().any(|&(a, b)| {
-                node.possible.binary_search(&a).is_ok() && node.possible.binary_search(&b).is_ok()
-            })
-        })
     }
 }
 
@@ -307,12 +242,11 @@ impl SymmetryGroup {
 /// no id lookups, no `Vec` churn.
 ///
 /// Canonicalization picks the word-lexicographic minimum of the orbit.
-/// That representative generally differs from the [`StateKey`]-order one
-/// the legacy path picks, but any fixed total order is sound: dedup is
-/// by orbit (two keys collapse iff they are orbit-mates, under either
-/// order), orbit sizes are order-independent, and stable vectors are
-/// found at raw states and expanded through the whole group — so the
-/// search's observable output is unchanged.
+/// Any fixed total order is sound: dedup is by orbit (two keys collapse
+/// iff they are orbit-mates), orbit sizes are order-independent, and
+/// stable vectors are found at raw states and expanded through the
+/// whole group — so the search's observable output does not depend on
+/// which representative is picked.
 pub(crate) struct FlatAction {
     routers: usize,
     mask_words: usize,
@@ -400,9 +334,10 @@ impl FlatAction {
 
     /// Write the word-lexicographically minimal image of `src` under the
     /// group into `best` (with `image` as scratch) and return the size of
-    /// `src`'s orbit (orbit–stabilizer, same counting as
-    /// [`SymmetryGroup::canonical`]). Both buffers are the caller's, so a
-    /// successor the visited set rejects is never copied out of them.
+    /// `src`'s orbit (by orbit–stabilizer, counted from the stabilizer
+    /// while all images are computed anyway). Both buffers are the
+    /// caller's, so a successor the visited set rejects is never copied
+    /// out of them.
     pub(crate) fn canonical_into(
         &self,
         src: &[u32],
@@ -424,8 +359,9 @@ impl FlatAction {
         self.order / stabilizer.max(1)
     }
 
-    /// Flat-encoding twin of [`SymmetryGroup::guard_trips`]: does any
-    /// router's `possible` bitmask contain a dangerous pair?
+    /// Does any router's `possible` bitmask contain a dangerous pair —
+    /// i.e. could an identifier-order tie-break have discriminated while
+    /// producing or leaving this state?
     pub(crate) fn guard_trips(&self, words: &[u32]) -> bool {
         if !self.has_danger {
             return false;
@@ -442,6 +378,7 @@ impl FlatAction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibgp_sim::signature::{NodeStateKey, StateKey};
     use ibgp_topology::TopologyBuilder;
     use ibgp_types::{AsId, ExitPath, Med};
     use std::sync::Arc;
@@ -500,168 +437,110 @@ mod tests {
         assert_eq!(g.order(), 1);
     }
 
-    #[test]
-    fn canonical_collapses_orbits_and_counts_their_size() {
-        let (topo, exits) = fig13_like();
-        let g = SymmetryGroup::compute(&topo, ProtocolConfig::STANDARD, &exits);
-        let node = |best: Option<u32>| NodeStateKey {
-            possible: vec![ExitPathId::new(1)],
+    fn node(possible: &[u32], best: Option<u32>, advertised: &[u32]) -> NodeStateKey {
+        let ids = |v: &[u32]| v.iter().map(|&i| ExitPathId::new(i)).collect();
+        NodeStateKey {
+            possible: ids(possible),
             best: best.map(ExitPathId::new),
-            advertised: vec![],
+            advertised: ids(advertised),
             rr: vec![],
-        };
-        // A state asymmetric across the rotation: only client 3 holds
-        // anything. Its orbit has 3 members, all with one canonical form.
-        let key = StateKey {
-            nodes: vec![
-                node(None),
-                node(None),
-                node(None),
-                NodeStateKey {
-                    possible: vec![ExitPathId::new(1)],
-                    best: Some(ExitPathId::new(1)),
-                    advertised: vec![ExitPathId::new(1)],
-                    rr: vec![],
-                },
-                node(None),
-                node(None),
-            ],
-            phase: 0,
-        };
-        let (canon1, orbit) = g.canonical(&key);
-        assert_eq!(orbit, 3);
-        // Rotate by hand with a non-identity element: another client
-        // holds another exit instead.
-        let rot = g
-            .elements
-            .iter()
-            .find(|e| e.routers != (0..6).collect::<Vec<u32>>())
-            .unwrap();
-        let rotated = rot.apply_key(&key);
-        assert_ne!(rotated, key);
-        let (canon2, orbit2) = g.canonical(&rotated);
-        assert_eq!(canon1, canon2, "orbit-mates share a canonical form");
-        assert_eq!(orbit2, 3);
+        }
     }
 
-    #[test]
-    fn guard_fires_only_on_co_occurring_dangerous_pairs() {
-        let (topo, exits) = fig13_like();
-        let g = SymmetryGroup::compute(&topo, ProtocolConfig::STANDARD, &exits);
-        let empty = NodeStateKey {
-            possible: vec![],
-            best: None,
-            advertised: vec![],
-            rr: vec![],
-        };
-        let mut nodes = vec![empty.clone(); 6];
-        // Exits 2 and 3 at client 3 (router index 3): distances 1 and 3
-        // differ, so the pair (2,3) is tied on metric only at routers
-        // equidistant from both exit points.
-        nodes[3] = NodeStateKey {
-            possible: vec![ExitPathId::new(2), ExitPathId::new(3)],
-            best: None,
-            advertised: vec![],
-            rr: vec![],
-        };
-        let key = StateKey {
-            nodes: nodes.clone(),
-            phase: 0,
-        };
-        // d(3, 4) = d(3, 5) = 3 via the reflectors... compute from the
-        // dangerous table instead of hand-deriving: the test asserts
-        // consistency between the table and the guard.
-        let expected = g.dangerous[3].contains(&(ExitPathId::new(2), ExitPathId::new(3)));
-        assert_eq!(g.guard_trips(&key), expected);
-        // A single exit never trips the guard.
-        nodes[3].possible = vec![ExitPathId::new(2)];
-        assert!(!g.guard_trips(&StateKey { nodes, phase: 0 }));
-    }
-
-    /// The flat-encoding action must agree with the `StateKey` action on
-    /// everything the search observes: orbit sizes, orbit-mate collapse,
-    /// and the tie-break guard. (The canonical *representatives* may
-    /// differ — word-lex vs `StateKey` order — so the test compares
-    /// orbit structure, not representatives.)
-    #[test]
-    fn flat_action_agrees_with_legacy_action() {
+    /// The fig13-like group, acting on flat keys, and `nodes` encoded.
+    fn setup() -> (
+        SymmetryGroup,
+        FlatAction,
+        impl Fn(Vec<NodeStateKey>) -> Vec<u32>,
+    ) {
         let (topo, exits) = fig13_like();
         let g = SymmetryGroup::compute(&topo, ProtocolConfig::STANDARD, &exits);
         let codec = StateCodec::new(topo.len(), &exits);
         let action = FlatAction::new(&g, &codec);
-
-        let node = |possible: Vec<u32>, best: Option<u32>, advertised: Vec<u32>| NodeStateKey {
-            possible: possible.into_iter().map(ExitPathId::new).collect(),
-            best: best.map(ExitPathId::new),
-            advertised: advertised.into_iter().map(ExitPathId::new).collect(),
-            rr: vec![],
+        let encode = move |nodes| {
+            codec
+                .encode_key(&StateKey { nodes, phase: 0 })
+                .into_words()
+                .into_vec()
         };
-        let keys = [
+        (g, action, encode)
+    }
+
+    /// Orbit sizes and orbit-mate collapse on three shapes of state:
+    /// every image of a state under the group canonicalizes to one
+    /// representative, itself an image, and the distinct images number
+    /// the orbit size.
+    #[test]
+    fn canonical_collapses_orbits_and_counts_their_size() {
+        let (_, action, encode) = setup();
+        // One router's state, every other router empty.
+        let only = |u: usize, state: NodeStateKey| {
+            let mut nodes = vec![node(&[], None, &[]); 6];
+            nodes[u] = state;
+            nodes
+        };
+        let cases = [
             // Asymmetric: only client 3 holds exit 1 — orbit of 3.
-            StateKey {
-                nodes: vec![
-                    node(vec![], None, vec![]),
-                    node(vec![], None, vec![]),
-                    node(vec![], None, vec![]),
-                    node(vec![1], Some(1), vec![1]),
-                    node(vec![], None, vec![]),
-                    node(vec![], None, vec![]),
-                ],
-                phase: 0,
-            },
+            (only(3, node(&[1], Some(1), &[1])), 3),
             // Rotation-symmetric: every client holds its own exit —
             // orbit of 1 (fixed by the whole group).
-            StateKey {
-                nodes: vec![
-                    node(vec![1, 2, 3], Some(1), vec![1]),
-                    node(vec![1, 2, 3], Some(2), vec![2]),
-                    node(vec![1, 2, 3], Some(3), vec![3]),
-                    node(vec![1], Some(1), vec![1]),
-                    node(vec![2], Some(2), vec![2]),
-                    node(vec![3], Some(3), vec![3]),
+            (
+                vec![
+                    node(&[1, 2, 3], Some(1), &[1]),
+                    node(&[1, 2, 3], Some(2), &[2]),
+                    node(&[1, 2, 3], Some(3), &[3]),
+                    node(&[1], Some(1), &[1]),
+                    node(&[2], Some(2), &[2]),
+                    node(&[3], Some(3), &[3]),
                 ],
-                phase: 0,
-            },
-            // Dangerous co-occurrence: a router holds two tied exits.
-            StateKey {
-                nodes: vec![
-                    node(vec![1, 2], None, vec![]),
-                    node(vec![], None, vec![]),
-                    node(vec![], None, vec![]),
-                    node(vec![], None, vec![]),
-                    node(vec![], None, vec![]),
-                    node(vec![], None, vec![]),
-                ],
-                phase: 0,
-            },
+                1,
+            ),
+            // A router holding two tied exits — orbit of 3.
+            (only(0, node(&[1, 2], None, &[])), 3),
         ];
         let (mut canon, mut image) = (Vec::new(), Vec::new());
-        for key in &keys {
-            let flat = codec.encode_key(key);
-            let (_, legacy_orbit) = g.canonical(key);
-            let flat_orbit = action.canonical_into(flat.words(), &mut canon, &mut image);
-            let flat_canon = canon.clone();
-            assert_eq!(flat_orbit, legacy_orbit, "orbit sizes agree");
-            assert_eq!(
-                action.guard_trips(flat.words()),
-                g.guard_trips(key),
-                "guards agree"
-            );
-            // Every legacy orbit-mate maps to the same flat canonical form.
-            for el in &g.elements {
-                let mate = codec.encode_key(&el.apply_key(key));
-                let mate_orbit = action.canonical_into(mate.words(), &mut canon, &mut image);
-                assert_eq!(canon, flat_canon, "orbit-mates collapse");
-                assert_eq!(mate_orbit, flat_orbit);
+        for (nodes, orbit) in cases {
+            let key = encode(nodes);
+            assert_eq!(action.canonical_into(&key, &mut canon, &mut image), orbit);
+            let representative = canon.clone();
+            let mut mates = Vec::new();
+            for e in 0..action.elements.len() {
+                let mut mate = vec![0; key.len()];
+                action.apply(e, &key, &mut mate);
+                assert_eq!(action.canonical_into(&mate, &mut canon, &mut image), orbit);
+                assert_eq!(canon, representative, "orbit-mates share a canonical form");
+                mates.push(mate);
             }
-            // Round-trip sanity: the canonical form decodes to a key in
-            // the legacy orbit of the original.
-            let decoded = codec.decode_key(&ibgp_sim::FlatKey::new(flat_canon.into_boxed_slice()));
             assert!(
-                g.elements.iter().any(|el| el.apply_key(key) == decoded),
-                "flat canonical form is a member of the legacy orbit"
+                mates.contains(&representative),
+                "the representative is a mate"
             );
+            mates.sort();
+            mates.dedup();
+            assert_eq!(mates.len() as u64, orbit);
         }
+    }
+
+    #[test]
+    fn guard_fires_only_on_co_occurring_dangerous_pairs() {
+        let (g, action, encode) = setup();
+        let mut nodes = vec![node(&[], None, &[]); 6];
+        // Exits 2 and 3 at client 3 (router index 3): distances 1 and 3
+        // differ, so the pair (2,3) is tied on metric only at routers
+        // equidistant from both exit points. Compute from the dangerous
+        // table instead of hand-deriving: the test asserts consistency
+        // between the table and the guard.
+        nodes[3] = node(&[2, 3], None, &[]);
+        let expected = g.dangerous[3].contains(&(ExitPathId::new(2), ExitPathId::new(3)));
+        assert_eq!(action.guard_trips(&encode(nodes.clone())), expected);
+        // Exits 1 and 2 at reflector 0, which is nearer exit 2's client.
+        nodes[0] = node(&[1, 2], None, &[]);
+        let tied = g.dangerous[0].contains(&(ExitPathId::new(1), ExitPathId::new(2)));
+        assert_eq!(action.guard_trips(&encode(nodes.clone())), expected || tied);
+        // A single exit per router never trips the guard.
+        nodes[0] = node(&[1], None, &[]);
+        nodes[3] = node(&[2], None, &[]);
+        assert!(!action.guard_trips(&encode(nodes)));
     }
 
     #[test]

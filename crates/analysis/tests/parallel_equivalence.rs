@@ -27,7 +27,6 @@ proptest! {
         n_exits in 1usize..=4,
         exit_raw in prop::collection::vec((1u32..3, 0u32..11, 0u32..5, 0u64..6), 4),
         variant in 0u8..3,
-        memoized in any::<bool>(),
         // 0 = effectively uncapped; k > 0 caps the search after k states
         // so the cap trip point itself is compared across thread counts.
         cap_raw in 0usize..40,
@@ -41,12 +40,7 @@ proptest! {
         ][variant as usize];
         let max_states = if cap_raw == 0 { 200_000 } else { cap_raw };
 
-        let opts = |jobs: usize| {
-            ExploreOptions::new()
-                .max_states(max_states)
-                .memoized(memoized)
-                .jobs(jobs)
-        };
+        let opts = |jobs: usize| ExploreOptions::new().max_states(max_states).jobs(jobs);
         let sequential = explore(&topo, config, exits.clone(), opts(1));
 
         // The canonical ordering is part of the contract.

@@ -35,7 +35,6 @@ proptest! {
         n_exits in 1usize..=4,
         exit_raw in prop::collection::vec((1u32..3, 0u32..11, 0u32..5, 0u64..6), 4),
         variant in 0u8..3,
-        flat in any::<bool>(),
         // 0 = effectively uncapped; k > 0 caps the search after k states
         // so the capped-off / completed-on asymmetry is exercised too.
         cap_raw in 0usize..40,
@@ -52,7 +51,6 @@ proptest! {
         let opts = |por: bool, jobs: usize| {
             ExploreOptions::new()
                 .max_states(max_states)
-                .flat_encoding(flat)
                 .jobs(jobs)
                 .por(por)
         };

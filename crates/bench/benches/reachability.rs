@@ -1,35 +1,21 @@
-//! Reachability exploration benchmarks.
-//!
-//! Two axes:
-//!
-//! * memoized vs naive update evaluation on the fig2 and fig13
-//!   classification paths (the 500k-state budget the persistence proofs
-//!   run with), printed as a one-shot speedup with the cache hit rate
-//!   and states/sec reported by `Metrics`;
-//! * thread scaling of the batch-frontier explorer (shard-owned visited
-//!   sets, flat state encoding) at `jobs` ∈ {1, 2, 4, 8} on the
-//!   fig13/walton search and on a 12-router random sweep, with a
-//!   determinism cross-check at every thread count.
-//!
-//! For the flat-vs-legacy encoding A/B comparison, see the `encoding`
-//! bin (`cargo run --release -p ibgp-bench --bin encoding`).
+//! Reachability exploration benchmark: thread scaling of the
+//! batch-frontier explorer (shard-owned visited sets, flat state
+//! encoding) at `jobs` ∈ {1, 2, 4, 8} on the fig13/walton search and on
+//! a 12-router random sweep, with a determinism cross-check at every
+//! thread count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ibgp::analysis::reachability::{explore, ExploreOptions};
+use ibgp::scenarios::fig13;
 use ibgp::scenarios::random::{random_scenario, RandomConfig};
-use ibgp::scenarios::{fig13, fig2};
 use ibgp::ProtocolConfig;
 use std::hint::black_box;
-use std::time::Instant;
 
 const MAX_STATES: usize = 500_000;
 const JOBS: [usize; 4] = [1, 2, 4, 8];
 
-fn opts(jobs: usize, memoized: bool) -> ExploreOptions {
-    ExploreOptions::new()
-        .max_states(MAX_STATES)
-        .memoized(memoized)
-        .jobs(jobs)
+fn opts(jobs: usize) -> ExploreOptions {
+    ExploreOptions::new().max_states(MAX_STATES).jobs(jobs)
 }
 
 /// 12 routers (4 clusters × 2 clients), enough exits to disagree over.
@@ -41,46 +27,6 @@ fn random_sweep_scenario() -> ibgp::Scenario {
         ..RandomConfig::default()
     };
     random_scenario(cfg, 11)
-}
-
-fn bench_memoization(c: &mut Criterion) {
-    let fig2 = fig2::scenario();
-    let fig13 = fig13::scenario();
-    let cases: [(&str, &ibgp::Scenario, ProtocolConfig); 2] = [
-        ("fig2/standard", &fig2, ProtocolConfig::STANDARD),
-        ("fig13/walton", &fig13, ProtocolConfig::WALTON),
-    ];
-
-    for (label, s, config) in cases {
-        // One-shot comparison against the naive reference engine; the
-        // timed groups below re-measure each side in isolation.
-        let t0 = Instant::now();
-        let fast = explore(&s.topology, config, s.exits(), opts(1, true));
-        let t_fast = t0.elapsed();
-        let t0 = Instant::now();
-        let slow = explore(&s.topology, config, s.exits(), opts(1, false));
-        let t_slow = t0.elapsed();
-        assert_eq!(fast.states, slow.states, "{label}: engines disagree");
-        assert_eq!(fast.stable_vectors, slow.stable_vectors);
-        println!(
-            "{label}: {} states; memoized {:.0} states/sec vs naive {:.0} \
-             ({:.2}x speedup); cache hit rate {:.1}%",
-            fast.states,
-            fast.metrics.states_per_sec(),
-            slow.metrics.states_per_sec(),
-            t_slow.as_secs_f64() / t_fast.as_secs_f64().max(1e-9),
-            100.0 * fast.metrics.cache_hit_rate(),
-        );
-
-        let mut group = c.benchmark_group(label);
-        group.bench_function("explore-memoized", |b| {
-            b.iter(|| explore(black_box(&s.topology), config, s.exits(), opts(1, true)))
-        });
-        group.bench_function("explore-naive", |b| {
-            b.iter(|| explore(black_box(&s.topology), config, s.exits(), opts(1, false)))
-        });
-        group.finish();
-    }
 }
 
 fn bench_thread_scaling(c: &mut Criterion) {
@@ -96,7 +42,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
     ];
 
     for (label, s, config) in cases {
-        let reference = explore(&s.topology, config, s.exits(), opts(1, true));
+        let reference = explore(&s.topology, config, s.exits(), opts(1));
         let base = reference.metrics.elapsed_nanos.max(1) as f64;
         println!(
             "{label}: {} states at jobs=1 ({:.0} states/sec)",
@@ -107,7 +53,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
         for jobs in JOBS {
             // Determinism cross-check: every thread count must reproduce
             // the sequential result bit for bit.
-            let parallel = explore(&s.topology, config, s.exits(), opts(jobs, true));
+            let parallel = explore(&s.topology, config, s.exits(), opts(jobs));
             assert_eq!(parallel.states, reference.states, "{label} jobs={jobs}");
             assert_eq!(parallel.complete, reference.complete);
             assert_eq!(parallel.stable_vectors, reference.stable_vectors);
@@ -118,7 +64,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
                 parallel.metrics.peak_shard,
             );
             group.bench_function(format!("jobs-{jobs}"), |b| {
-                b.iter(|| explore(black_box(&s.topology), config, s.exits(), opts(jobs, true)))
+                b.iter(|| explore(black_box(&s.topology), config, s.exits(), opts(jobs)))
             });
         }
         group.finish();
@@ -131,6 +77,6 @@ criterion_group! {
         .sample_size(3)
         .warm_up_time(std::time::Duration::from_millis(100))
         .measurement_time(std::time::Duration::from_secs(5));
-    targets = bench_memoization, bench_thread_scaling
+    targets = bench_thread_scaling
 }
 criterion_main!(benches);

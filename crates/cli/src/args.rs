@@ -39,8 +39,8 @@ options:
   --loop-prevention                    message-level reflection mechanics:
                                        ORIGINATOR_ID/CLUSTER_LIST stamping, cluster-loop
                                        drop, SSLD, the reflect-to-whom matrix (reflection
-                                       specs only; forces the legacy encoding, disables
-                                       symmetry/POR, and the sat solver falls back)
+                                       specs only; the search declines symmetry/POR,
+                                       and the sat solver falls back)
   --steps N                            step budget (default 100000)
   --seed N                             hunt: campaign seed (default 1)
   --budget N                           hunt: topologies to generate (default 100)

@@ -32,13 +32,14 @@
 //! expect never-sent V U P            # V's send filter excludes P toward U
 //! ```
 //!
-//! Router ids are 0-based indices below `routers`; exit-path ids are
-//! nonzero. Every assertion names the exit path it constrains, so one
-//! file can cover several prefixes (each still simulated in isolation).
+//! Router ids are 0-based indices below `routers`, which is at most
+//! [`MAX_ROUTERS`] (the `.ibgp` limit); exit-path ids are nonzero. Every
+//! assertion names the exit path it constrains, so one file can cover
+//! several prefixes (each still simulated in isolation).
 
 use ibgp_proto::variants::ProtocolConfig;
 use ibgp_sim::{Engine as _, RoundRobin, SyncEngine};
-use ibgp_topology::{Topology, TopologyBuilder};
+use ibgp_topology::{Topology, TopologyBuilder, MAX_ROUTERS};
 use ibgp_types::{AsId, ExitPath, ExitPathId, ExitPathRef, RouterId};
 use std::fmt;
 use std::sync::Arc;
@@ -166,6 +167,10 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 let n: usize = parse_num(toks[1], "router count", ln)?;
                 if n == 0 {
                     return Err(err(ln, "`routers` must be at least 1"));
+                }
+                if n > MAX_ROUTERS {
+                    let limit = format!("router count {n} exceeds the limit of {MAX_ROUTERS}");
+                    return Err(err(ln, limit));
                 }
                 if routers.replace(n).is_some() {
                     return Err(err(ln, "duplicate `routers`"));
@@ -555,6 +560,7 @@ expect never-sent 1 0 1
             ("conformance 1\nname a\nbogus 3\n", 3, "unknown directive"),
             ("conformance 1\nname a\nname b\n", 3, "duplicate `name`"),
             ("conformance 1\nrouters 0\n", 2, "at least 1"),
+            ("conformance 1\nrouters 1025\n", 2, "exceeds the limit of 1024"),
             ("conformance 1\nname a\nrouters 2\nrouters 2\n", 4, "duplicate `routers`"),
             ("conformance 1\nname a\nrouters 2\nlink 0 1\n", 4, "takes 3 argument(s)"),
             ("conformance 1\nname a\nrouters 2\nexit 1 by 0\n", 4, "expected `exit P at R`"),

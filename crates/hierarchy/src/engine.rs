@@ -1,7 +1,9 @@
 //! The general-hierarchy pull engine.
 //!
 //! Provenance-based reflection (the RFC 4456 rule the paper's two-level
-//! `Transfer` relation encodes): a router may offer a route
+//! `Transfer` relation encodes), through the same
+//! [`ibgp_proto::may_offer`] the loop-prevention engines reflect by: a
+//! router may offer a route
 //!
 //! * to **everyone** if it originated the route (E-BGP) or learned it
 //!   over a `Down` session (from a client);
@@ -14,24 +16,13 @@
 
 use crate::topology::{HierTopology, SessionKind};
 use ibgp_proto::selection::choose_set;
-use ibgp_proto::{choose_best, SelectionPolicy};
+use ibgp_proto::{choose_best, may_offer, Provenance, SelectionPolicy};
 use ibgp_sim::engine::spans;
 use ibgp_sim::{Engine, RoundRobin, SweepEngine, SyncOutcome};
 use ibgp_types::{BgpId, ExitPathId, ExitPathRef, Route, RouterId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// How a router came to know a route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum Provenance {
-    /// Own E-BGP exit.
-    Own,
-    /// Learned from a client (over a `Down` session).
-    FromClient,
-    /// Learned from a reflector or ordinary peer.
-    FromNonClient,
-}
 
 /// Advertisement discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -52,15 +43,13 @@ impl fmt::Display for HierMode {
     }
 }
 
-impl Provenance {
-    /// The provenance a span word encodes.
-    fn from_word(word: u32) -> Self {
-        match word {
-            0 => Provenance::Own,
-            1 => Provenance::FromClient,
-            2 => Provenance::FromNonClient,
-            other => unreachable!("provenance word {other}"),
-        }
+/// The provenance a span word encodes.
+fn provenance(word: u32) -> Provenance {
+    match word {
+        0 => Provenance::Own,
+        1 => Provenance::FromClient,
+        2 => Provenance::FromNonClient,
+        other => unreachable!("provenance word {other}"),
     }
 }
 
@@ -114,19 +103,7 @@ fn advertised(span: &[u32]) -> impl Iterator<Item = (u32, Provenance)> + '_ {
     let at = advertised_at(span);
     span[at + 1..at + 1 + 2 * span[at] as usize]
         .chunks_exact(2)
-        .map(|pair| (pair[0], Provenance::from_word(pair[1])))
-}
-
-/// The offer rule: may a sender whose session to `u` is `kind` offer
-/// `u` a route over `path` that it holds with `provenance`?
-fn may_offer(kind: SessionKind, u: RouterId, path: &ExitPathRef, provenance: Provenance) -> bool {
-    if path.exit_point() == u {
-        return false; // never back to the origin
-    }
-    match provenance {
-        Provenance::Own | Provenance::FromClient => true,
-        Provenance::FromNonClient => kind == SessionKind::Down,
-    }
+        .map(|pair| (pair[0], provenance(pair[1])))
 }
 
 /// The pull engine over a hierarchy. The configuration is held as words
@@ -242,7 +219,8 @@ impl<'a> HierEngine<'a> {
             let kind_from_v = kind_from_u.flipped();
             for (id, provenance) in advertised(span) {
                 let path = self.path(id);
-                if !may_offer(kind_from_v, u, path, provenance) {
+                let to_client = kind_from_v == SessionKind::Down;
+                if !may_offer(provenance, to_client, path.exit_point() == u) {
                     continue;
                 }
                 let candidate = Held {
@@ -414,14 +392,20 @@ mod tests {
             Some(ExitPathId::new(1)),
             "reaches the leaf"
         );
-        // Structural check of the offer rule itself.
+        // Structural check of the offer rule itself, as the engine asks
+        // it: `to_client` is a `Down` session from the sender.
         let path = exit(9, 1, 0, 3);
-        let from_1 = |u: u32| topo.session(r(1), r(u)).expect("a session");
+        let down_from_1 = |u: u32| topo.session(r(1), r(u)) == Some(SessionKind::Down);
+        let to_exit_point = |u: u32| path.exit_point() == r(u);
         assert!(
-            !may_offer(from_1(0), r(0), &path, Provenance::FromNonClient),
+            !may_offer(Provenance::FromNonClient, down_from_1(0), to_exit_point(0)),
             "non-client routes stay down"
         );
-        assert!(may_offer(from_1(2), r(2), &path, Provenance::FromNonClient));
+        assert!(may_offer(
+            Provenance::FromNonClient,
+            down_from_1(2),
+            to_exit_point(2)
+        ));
     }
 
     #[test]
@@ -429,11 +413,11 @@ mod tests {
         let spec = ClusterSpec::flat(0, [1]);
         let topo = crate::topology::HierTopology::new(chain(2), vec![spec]).unwrap();
         let kind = topo.session(r(0), r(1)).expect("a session");
+        let path = exit(1, 1, 0, 1);
         assert!(!may_offer(
-            kind,
-            r(1),
-            &exit(1, 1, 0, 1),
-            Provenance::FromClient
+            Provenance::FromClient,
+            kind == SessionKind::Down,
+            path.exit_point() == r(1)
         ));
     }
 

@@ -38,16 +38,11 @@ use crate::spec::{ConfedSpec, ExitSpec, HierSpec, ReflectionSpec, ScenarioSpec, 
 use ibgp_confed::ConfedMode;
 use ibgp_hierarchy::{ClusterSpec, HierMode, Member};
 use ibgp_proto::ProtocolVariant;
+use ibgp_topology::MAX_ROUTERS;
 use std::fmt::Write as _;
 
 /// Current format version.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Largest `routers` value the parser accepts. Classification allocates
-/// per router (and per router pair for shortest paths), so an absurd
-/// count must fail as a parse error rather than abort the process on
-/// allocation — the daemon parses untrusted request bodies.
-pub(crate) const MAX_ROUTERS: usize = 1024;
 
 /// Deepest `hcluster` nesting the parser accepts: the tree is parsed
 /// and walked recursively, so unbounded nesting would overflow the

@@ -27,7 +27,7 @@ use std::time::Instant;
 /// confederation and hierarchy searches report symmetry group order 0
 /// and no ample expansions, a `Sat` solver request on them (or on a
 /// non-standard variant) comes back with `origin = search`, and loop
-/// prevention and the state encoding only exist for reflection specs.
+/// prevention only exists for reflection specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HuntOptions {
     /// State cap per exploration.
@@ -41,12 +41,6 @@ pub struct HuntOptions {
     pub symmetry: bool,
     /// Visited-set byte budget; `None` for unbounded.
     pub max_bytes: Option<usize>,
-    /// Use the flat fixed-width state encoding (default) or the legacy
-    /// `StateKey` path in the reflection search. Verdicts are identical
-    /// either way (`tests/encoding_golden.rs` pins this on the whole
-    /// committed corpus); the switch exists for A/B measurement and the
-    /// equivalence suites.
-    pub flat: bool,
     /// Prune each frontier state's branches to the invisible compound
     /// ample step in the reflection search (exact partial-order
     /// reduction; confed/hierarchy searches decline it: no ample
@@ -65,9 +59,10 @@ pub struct HuntOptions {
     /// Classify reflection specs under the message-level reflection
     /// mechanics (ORIGINATOR_ID / CLUSTER_LIST stamping, cluster-loop
     /// drop, SSLD, the reflect-to-whom matrix) instead of the paper's
-    /// `Transfer` predicate. Forces the legacy state encoding and turns
-    /// symmetry/POR off; the solver declines and falls back to search.
-    /// Confed/hierarchy specs have no reflection sessions to stamp.
+    /// `Transfer` predicate. The search declines symmetry and POR, as
+    /// every sweep search does; the solver declines and falls back to
+    /// search. Confed/hierarchy specs have no reflection sessions to
+    /// stamp.
     pub loop_prevention: bool,
 }
 
@@ -78,7 +73,6 @@ impl Default for HuntOptions {
             jobs: 0,
             symmetry: false,
             max_bytes: None,
-            flat: true,
             por: false,
             deadline: None,
             solver: SolverMode::Search,
@@ -96,7 +90,6 @@ impl From<&HuntOptions> for ExploreOptions {
             .max_states(o.max_states)
             .jobs(o.jobs)
             .symmetry(o.symmetry)
-            .flat_encoding(o.flat)
             .por(o.por)
             .solver(o.solver)
             .loop_prevention(o.loop_prevention);
@@ -137,12 +130,6 @@ impl HuntOptions {
     /// Replace the visited-set byte budget.
     pub fn max_bytes(mut self, max_bytes: usize) -> Self {
         self.max_bytes = Some(max_bytes);
-        self
-    }
-
-    /// Pick the flat (default) or legacy state encoding.
-    pub fn flat(mut self, flat: bool) -> Self {
-        self.flat = flat;
         self
     }
 

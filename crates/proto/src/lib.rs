@@ -13,7 +13,8 @@
 //!   (who may tell whom about which exit paths under route reflection).
 //! * [`reflection`] — message-level ORIGINATOR_ID / CLUSTER_LIST / SSLD
 //!   mechanics (RFC 4456), the realistic counterpart `Transfer`
-//!   idealizes away; used by the engine's `loop_prevention` switch.
+//!   idealizes away, and the one provenance rule ([`may_offer`]) both
+//!   the loop-prevention engines and the hierarchy engine reflect by.
 //! * [`walton`] — the per-neighbor-AS advertisement vector of Walton et
 //!   al., the baseline §8 shows to be insufficient.
 //! * [`variants`] — [`ProtocolVariant`]: which advertisement discipline a
@@ -36,7 +37,9 @@ pub mod variants;
 pub mod walton;
 
 pub use levels::level;
-pub use reflection::{cluster_loop, reflect_allowed, stamp_cluster_list, RrAttrs};
+pub use reflection::{
+    cluster_loop, may_offer, reflect_allowed, stamp_cluster_list, Provenance, RrAttrs,
+};
 pub use routes::{derive_learned_from, route_at};
 pub use selection::{
     choose_best, choose_best_traced, choose_set, MedMode, RuleId, RuleOrder, SelectionPolicy,

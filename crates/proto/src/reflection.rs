@@ -24,11 +24,14 @@
 //!   which is exactly what makes the two relations diverge on
 //!   multi-reflector clusters and non-tree session graphs.
 //!
-//! [`reflect_allowed`] is the send-side gate, [`stamp_cluster_list`] the
+//! [`may_offer`] states the matrix (with SSLD) once, over a route's
+//! [`Provenance`]; [`reflect_allowed`] is the send-side gate that
+//! applies it to a two-level session graph, [`stamp_cluster_list`] the
 //! send-side stamping, and [`cluster_loop`] the receive-side drop test.
-//! `ibgp-sim`'s synchronous engine wires them together behind its
-//! `loop_prevention` switch; with the switch off the engine runs the
-//! paper's `Transfer` relation unchanged.
+//! `ibgp-sim`'s loop-prevention engines wire them together; without loop
+//! prevention they run the paper's `Transfer` relation unchanged. The
+//! hierarchy engine of `ibgp-hierarchy` applies [`may_offer`] to its
+//! `Up`/`Down`/`Peer` sessions.
 
 use ibgp_topology::Topology;
 use ibgp_types::RouterId;
@@ -65,21 +68,48 @@ impl RrAttrs {
     }
 }
 
+/// How a router came to hold a route: the one fact the reflect-to-whom
+/// matrix reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Provenance {
+    /// The router's own E-BGP route.
+    Own,
+    /// Learned from one of the router's clients.
+    FromClient,
+    /// Learned from a reflector or an ordinary peer.
+    FromNonClient,
+}
+
+/// The reflect-to-whom matrix with SSLD: may a router offer a route it
+/// holds with `provenance` to a peer that is its client (`to_client`)
+/// or is the route's exit point (`to_exit_point`)?
+///
+/// * an own or client-learned route goes to everyone;
+/// * a non-client-learned route goes to clients only;
+/// * nothing goes back to the route's exit point (its originator).
+pub fn may_offer(provenance: Provenance, to_client: bool, to_exit_point: bool) -> bool {
+    if to_exit_point {
+        return false;
+    }
+    match provenance {
+        Provenance::Own | Provenance::FromClient => true,
+        Provenance::FromNonClient => to_client,
+    }
+}
+
 /// Whether `v` may send exit path `p` to `u` under message-level
 /// reflection, given `exitPoint(p)` and the peer `v` learned its copy
 /// from (`None` = `v`'s own E-BGP route).
 ///
-/// The conjunction of:
-/// 1. `vu` is an I-BGP session (and `v ≠ u`);
-/// 2. SSLD: `exitPoint(p) ≠ u` — never send a route back to its
-///    originator;
-/// 3. the reflect-to-whom matrix:
-///    * `v`'s own E-BGP route (`exitPoint(p) = v`) → everyone;
-///    * learned route, `v` has clients (is a reflector):
-///      * learned from one of `v`'s clients → everyone;
-///      * learned from a non-client → `v`'s clients only;
-///    * learned route, `v` has no clients → no one (the classic I-BGP
-///      no-re-advertise rule).
+/// `vu` must be an I-BGP session (and `v ≠ u`); then [`may_offer`]
+/// decides, with `v`'s provenance of its copy:
+/// * `exitPoint(p) = v` → [`Provenance::Own`];
+/// * learned from one of `v`'s clients → [`Provenance::FromClient`];
+/// * otherwise → [`Provenance::FromNonClient`].
+///
+/// A router with no clients holds no client-learned route and has no
+/// client to send a non-client route to, so it re-advertises nothing it
+/// learned: the classic I-BGP no-re-advertise rule.
 pub fn reflect_allowed(
     topo: &Topology,
     v: RouterId,
@@ -90,24 +120,13 @@ pub fn reflect_allowed(
     if v == u || !topo.ibgp().is_session(v, u) {
         return false;
     }
-    // SSLD: the originator of p is exitPoint(p).
-    if exit_point == u {
-        return false;
-    }
-    // v's own E-BGP route goes to every peer.
-    if exit_point == v {
-        return true;
-    }
     let ibgp = topo.ibgp();
-    if !ibgp.reflects(v) {
-        return false;
-    }
-    match learned_from {
-        // Learned from a client: reflect to everyone.
-        Some(w) if ibgp.client_edge(v, w) => true,
-        // Learned from a non-client: reflect to clients only.
-        _ => ibgp.client_edge(v, u),
-    }
+    let provenance = match learned_from {
+        _ if exit_point == v => Provenance::Own,
+        Some(w) if ibgp.client_edge(v, w) => Provenance::FromClient,
+        _ => Provenance::FromNonClient,
+    };
+    may_offer(provenance, ibgp.client_edge(v, u), exit_point == u)
 }
 
 /// The CLUSTER_LIST `v` puts on the wire when sending a route whose

@@ -17,7 +17,8 @@
 //! [`Activation::phase`] contract: phases are used as-is and must already
 //! be normalized to the schedule's period.
 //!
-//! The confederation and hierarchy engines share one more shape, the
+//! The confederation and hierarchy engines, and the loop-prevention
+//! search engine [`crate::lp::LpEngine`], share one more shape, the
 //! [`SweepEngine`]: the configuration is a word string, one
 //! self-delimiting span per router, and a step installs, for each
 //! activated router, the span its update rule computes from its inputs'
@@ -145,6 +146,14 @@ pub trait SweepEngine {
 
     /// The best exit recorded in one router's span.
     fn best(span: &[u32]) -> Option<ExitPathId>;
+
+    /// What `u` sends its peers when an activation replaces its span
+    /// `current` with the different span `next`: (messages, paths
+    /// advertised). The default, for rules without a per-session send
+    /// model, sends nothing.
+    fn sends(&self, _u: RouterId, _current: &[u32], _next: &[u32]) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
 /// The per-router spans of `words`, router 0 first.

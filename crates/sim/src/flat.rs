@@ -1,9 +1,8 @@
 //! Flat, fixed-width state encoding for the reachability hot path.
 //!
-//! The explorer's visited set and canonicalization used to operate on
-//! [`StateKey`](crate::signature::StateKey) — three `Vec`s per router per
-//! state, allocated fresh for every generated successor. This module
-//! packs the same information into a single `Box<[u32]>` per state:
+//! A configuration's [`StateKey`] — per router the possible set, the
+//! best exit and the advertised set — packs into a single `Box<[u32]>`
+//! per state:
 //!
 //! ```text
 //! [ router 0 | router 1 | ... ]         one fixed-width block per router
@@ -17,12 +16,14 @@
 //! also converts back to `StateKey` at the API boundary. Equality of
 //! [`FlatKey`]s is exactly equality of the `StateKey`s they encode (at
 //! phase 0, the only phase the explorer generates), so visited-set dedup
-//! and orbit collapsing are unchanged observationally — only cheaper:
-//! one allocation per state, `memcmp` equality, and a digest that is
-//! computed once and carried with the key.
+//! and orbit collapsing decide exactly as on `StateKey`s, with one
+//! allocation per state, `memcmp` equality, and a digest that is
+//! computed once and carried with the key. Loop prevention adds
+//! per-path attributes the codec has no slots for; those searches run
+//! [`crate::lp::LpEngine`] instead.
 //!
 //! [`FlatEngine`] steps these keys directly: key in, successor keys out,
-//! with no engine state to restore and no shared rows. A router's next
+//! with no engine state to copy and no shared rows. A router's next
 //! block is a pure function of its peers' advertised masks (its
 //! `MyExits` never change during a search), memoized on exactly those
 //! words; everything else a search asks of a state — stability, each
@@ -30,11 +31,11 @@
 //! message counters — is derived from the current and planned blocks by
 //! word and mask arithmetic.
 //!
-//! [`SweepPlanner`] is the same engine for the confederation and
-//! hierarchy rules ([`SweepEngine`]), whose states are variable-length
-//! per-router spans: each router's next span is memoized on its inputs'
-//! spans in the same router memo, and branch successors are spliced
-//! from current and planned spans.
+//! [`SweepPlanner`] is the same engine for the confederation, hierarchy
+//! and loop-prevention rules ([`SweepEngine`]), whose states are
+//! variable-length per-router spans: each router's next span is memoized
+//! on its inputs' spans in the same router memo, and branch successors
+//! are spliced from current and planned spans.
 //!
 //! The digest is a hand-rolled Fx-style multiply-xor hash (the workspace
 //! deliberately adds no dependencies); it only feeds hash-map bucketing
@@ -198,7 +199,7 @@ impl StateCodec {
         FlatKey::new(words.into_boxed_slice())
     }
 
-    /// Decode back to the snapshot-side [`StateKey`] (phase 0). Bit order
+    /// Decode back to the [`StateKey`] (phase 0). Bit order
     /// is ascending raw id, so the decoded id vectors come out sorted —
     /// exactly the `StateKey` invariant.
     ///
@@ -217,9 +218,9 @@ impl StateCodec {
                     best: (best_slot != 0).then(|| self.id_at(best_slot as usize - 1)),
                     advertised: self.decode_mask(&block[self.mask_words..2 * self.mask_words]),
                     // The flat encoding never carries reflection
-                    // attributes: searches with loop prevention on run
-                    // the legacy scheme (`FlatEngine::new` rejects the
-                    // combination).
+                    // attributes: searches with loop prevention run the
+                    // `LpEngine` sweep rule (`FlatEngine::new` rejects
+                    // the combination).
                     rr: Vec::new(),
                 }
             })
@@ -242,8 +243,7 @@ impl StateCodec {
 }
 
 /// One encoded configuration: the packed words plus their digest,
-/// computed once at construction and carried with the key (the legacy
-/// `StateKey` re-hashed on every probe).
+/// computed once at construction and carried with the key.
 #[derive(Debug, Clone)]
 pub struct FlatKey {
     digest: u64,
@@ -274,8 +274,8 @@ impl FlatKey {
         self.words
     }
 
-    /// Accounted heap footprint, the flat analogue of
-    /// `StateKey::approx_bytes`: the struct itself plus the word payload.
+    /// Accounted heap footprint: the struct itself plus the word
+    /// payload.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.words.len() * std::mem::size_of::<u32>()
     }
@@ -379,14 +379,14 @@ impl RouterMemo {
 }
 
 /// What activating one router from the loaded key does, derived from
-/// its current and planned blocks.
+/// its current and planned blocks (or spans).
 #[derive(Clone, Copy, Default)]
 struct Move {
     /// The planned block differs from the current one.
     enabled: bool,
     best_changed: bool,
-    /// Peers whose transfer-masked view of the advertised set changes
-    /// (one message each), and the paths those messages carry.
+    /// Peers whose filtered view of the advertised set changes (one
+    /// message each), and the paths those messages carry.
     messages: u64,
     paths: u64,
 }
@@ -409,8 +409,10 @@ struct Model<'a> {
 }
 
 impl Model<'_> {
-    /// Compute router `u`'s next block from `key` (a memo miss, or the
-    /// unmemoized reference path).
+    /// Compute router `u`'s next block from `key` (a memo miss). Misses
+    /// are rare once the memo is warm; keeping this out of line keeps
+    /// [`FlatEngine::plan`]'s lookup loop small.
+    #[cold]
     fn next_block(&self, u: usize, key: &[u32], out: &mut [u32]) {
         let (nw, mw) = (self.codec.node_words(), self.codec.mask_words());
         let advertised: Vec<Vec<ExitPathRef>> = self.peers[u]
@@ -462,7 +464,6 @@ impl Model<'_> {
 /// memo and scratch buffers.
 pub struct FlatEngine<'a> {
     model: Model<'a>,
-    memoized: bool,
     memo: Vec<RouterMemo>,
     /// The key loaded by the last [`FlatEngine::plan`], and every
     /// router's next block from it.
@@ -475,15 +476,15 @@ pub struct FlatEngine<'a> {
 }
 
 impl<'a> FlatEngine<'a> {
-    /// An engine for `engine`'s topology, protocol, exit paths and memo
-    /// setting, keyed under `codec`.
+    /// An engine for `engine`'s topology, protocol and exit paths, keyed
+    /// under `codec`.
     ///
     /// # Panics
     ///
     /// Panics if `engine` runs loop prevention (the flat encoding has no
-    /// slots for reflection attributes; those searches run the legacy
-    /// scheme) or if `codec` does not number exactly the engine's exit
-    /// paths.
+    /// slots for reflection attributes; those searches run
+    /// [`crate::lp::LpEngine`]) or if `codec` does not number exactly the
+    /// engine's exit paths.
     pub fn new(engine: &SyncEngine<'a>, codec: Arc<StateCodec>) -> Self {
         assert!(
             !engine.loop_prevention(),
@@ -532,7 +533,6 @@ impl<'a> FlatEngine<'a> {
                 peers,
                 send,
             },
-            memoized: engine.memoized(),
             memo: vec![RouterMemo::default(); n],
             current: Vec::new(),
             planned: Vec::new(),
@@ -558,10 +558,6 @@ impl<'a> FlatEngine<'a> {
         self.current.extend_from_slice(key);
         self.planned.resize(key.len(), 0);
         for (u, out) in self.planned.chunks_exact_mut(nw).enumerate() {
-            if !self.memoized {
-                model.next_block(u, key, out);
-                continue;
-            }
             self.scratch.clear();
             self.scratch.push(u as u32);
             for v in &model.peers[u] {
@@ -641,10 +637,45 @@ impl<'a> FlatEngine<'a> {
             .collect()
     }
 
-    /// The loaded key's ample set for exact partial-order reduction: the
-    /// enabled routers whose activation changes no transfer-masked
-    /// outgoing set, in ascending id order — the same set, under the
-    /// same argument, as [`SyncEngine::ample_set`]. `None` when empty.
+    /// The loaded key's ample set for exact partial-order reduction:
+    /// every *enabled* router (planned block differs from its current
+    /// one) whose activation changes none of its transfer-masked
+    /// outgoing sets, in ascending id order. `None` when empty.
+    ///
+    /// A router's update is a pure function of its own `MyExits` and its
+    /// I-BGP peers' transfer-filtered advertised sets (exactly the memo
+    /// key [`FlatEngine::plan`] looks updates up by), so such an
+    /// activation is *invisible*: it rewrites only the mover's private
+    /// components (`possible`, `learnedFrom`, `best`) and no other
+    /// router's next update can read the difference. Invisible
+    /// activations therefore commute with every transition — other
+    /// singletons *and* the full-set simultaneous exchange — and
+    /// activating all of them at once reaches exactly the state any
+    /// interleaving of them reaches.
+    ///
+    /// Exactness of pruning to this one compound branch (the ample step):
+    ///
+    /// * **Fixed points are preserved.** For any configuration `d`
+    ///   reachable from the current state, the same activation sequence
+    ///   from the ample successor reaches a state differing from `d` only
+    ///   in not-yet-reapplied invisible rows with identical outgoing sets;
+    ///   if `d` is a fixed point, activating those routers (each a real
+    ///   singleton branch) lands exactly on `d`. So the set of reachable
+    ///   stable best-exit vectors — the search's verdict evidence — is
+    ///   unchanged.
+    /// * **The cycle proviso (C3) is discharged structurally.** An
+    ///   invisible activation changes no update input, so the plan is
+    ///   unchanged across the ample step and every member of the ample set
+    ///   becomes disabled in the successor: the successor's ample set is
+    ///   empty and it expands fully. Ample edges can never chain, let
+    ///   alone close a cycle, so no action is postponed forever and
+    ///   persistent-oscillation detection stays sound.
+    ///
+    /// `None` means no enabled activation's invisibility can be proven,
+    /// and the caller must expand every branch (the conservative
+    /// fallback). Visible activations get no ample treatment at all: the
+    /// full-set simultaneous branch is dependent on every visible mover,
+    /// so no proper subset containing one is persistent.
     pub fn ample_set(&self) -> Option<Vec<RouterId>> {
         let ample: Vec<RouterId> = self
             .moves
@@ -657,7 +688,7 @@ impl<'a> FlatEngine<'a> {
     }
 
     /// Counters so far: the activation accounting plus the memo's
-    /// hit/miss split (both zero when unmemoized).
+    /// hit/miss split.
     pub fn metrics(&self) -> Metrics {
         self.metrics
     }
@@ -671,10 +702,10 @@ impl<'a> FlatEngine<'a> {
 /// inputs' spans laid end to end (self-delimiting spans make that key
 /// unambiguous). Stability, the successor of any activation set, and the
 /// best vector then follow by comparing and splicing the loaded and
-/// planned spans. Counters: activations and best changes, counted per
+/// planned spans. Counters: activations, best changes, and the messages
+/// and paths the rule's [`SweepEngine::sends`] reports, counted per
 /// activated router as [`FlatEngine::successor_into`] counts them, and
-/// the memo's hit/miss split. The sweep rule has no per-session send
-/// model, so messages and paths advertised stay 0.
+/// the memo's hit/miss split.
 ///
 /// One planner per worker: it owns its memo and scratch buffers and only
 /// reads the rule.
@@ -688,8 +719,8 @@ pub struct SweepPlanner<'e, E> {
     current_ends: Vec<usize>,
     planned: Vec<u32>,
     planned_ends: Vec<usize>,
-    /// Per router: the planned span names a different best exit.
-    best_changed: Vec<bool>,
+    /// Per router: what activating it from the loaded key does.
+    moves: Vec<Move>,
     /// Memo-key assembly buffer: router id, then the inputs' spans.
     scratch: Vec<u32>,
     metrics: Metrics,
@@ -712,7 +743,7 @@ impl<'e, E: SweepEngine> SweepPlanner<'e, E> {
             current_ends: Vec::with_capacity(n),
             planned: Vec::new(),
             planned_ends: Vec::with_capacity(n),
-            best_changed: vec![false; n],
+            moves: vec![Move::default(); n],
             scratch: Vec::new(),
             metrics: Metrics::default(),
         }
@@ -758,8 +789,22 @@ impl<'e, E: SweepEngine> SweepPlanner<'e, E> {
                 self.memo[u].insert(digest, inputs, &self.planned[start..]);
             }
             self.planned_ends.push(self.planned.len());
-            let cur = span_at(&self.current, &self.current_ends, u);
-            self.best_changed[u] = E::best(cur) != E::best(&self.planned[start..]);
+            let (cur, new) = (
+                span_at(&self.current, &self.current_ends, u),
+                &self.planned[start..],
+            );
+            let enabled = cur != new;
+            let (messages, paths) = if enabled {
+                self.engine.sends(router, cur, new)
+            } else {
+                (0, 0)
+            };
+            self.moves[u] = Move {
+                enabled,
+                best_changed: E::best(cur) != E::best(new),
+                messages,
+                paths,
+            };
         }
         self.current == self.planned
     }
@@ -767,16 +812,20 @@ impl<'e, E: SweepEngine> SweepPlanner<'e, E> {
     /// Write into `out` the key that activating `set` (ascending router
     /// ids) from the loaded key produces: the planned span of every
     /// member, the current span of every other router. Counts one
-    /// activation per member, and a best change per member whose planned
-    /// span names a different best exit.
+    /// activation per member, a best change per member whose planned
+    /// span names a different best exit, and the messages and paths
+    /// [`SweepEngine::sends`] reports for each member.
     pub fn successor_into(&mut self, set: &[RouterId], out: &mut Vec<u32>) {
         out.clear();
         let mut members = set.iter().map(|r| r.index()).peekable();
         for u in 0..self.current_ends.len() {
             if members.next_if_eq(&u).is_some() {
                 out.extend_from_slice(span_at(&self.planned, &self.planned_ends, u));
+                let mv = self.moves[u];
                 self.metrics.activations += 1;
-                self.metrics.best_changes += u64::from(self.best_changed[u]);
+                self.metrics.best_changes += u64::from(mv.best_changed);
+                self.metrics.messages += mv.messages;
+                self.metrics.paths_advertised += mv.paths;
             } else {
                 out.extend_from_slice(span_at(&self.current, &self.current_ends, u));
             }
@@ -790,8 +839,8 @@ impl<'e, E: SweepEngine> SweepPlanner<'e, E> {
             .collect()
     }
 
-    /// Counters so far: activations, best changes, and the memo's
-    /// hit/miss split.
+    /// Counters so far: activations, best changes, messages, paths
+    /// advertised, and the memo's hit/miss split.
     pub fn metrics(&self) -> Metrics {
         self.metrics
     }

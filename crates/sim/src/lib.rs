@@ -26,6 +26,7 @@ pub mod activation;
 pub mod async_engine;
 pub mod engine;
 pub mod flat;
+pub mod lp;
 pub mod metrics;
 pub mod multi;
 pub mod signature;
@@ -38,6 +39,7 @@ pub use async_engine::{
 };
 pub use engine::{Engine, SweepEngine};
 pub use flat::{FlatEngine, FlatKey, StateCodec, SweepPlanner};
+pub use lp::LpEngine;
 pub use metrics::Metrics;
 pub use multi::{aggregate, MultiPrefixSim, PrefixResult};
-pub use sync::{StepPlan, SyncEngine, SyncOutcome, SyncSnapshot};
+pub use sync::{SyncEngine, SyncOutcome};

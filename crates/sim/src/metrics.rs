@@ -17,12 +17,13 @@ pub struct Metrics {
     pub activations: u64,
     /// Update messages (non-identical advertised sets) sent between peers.
     /// Always 0 for the confederation and hierarchy sweep engines, whose
-    /// rule has no per-session send model.
+    /// rules keep `SweepEngine::sends`' default: no per-session send
+    /// model.
     pub messages: u64,
     /// Total exit paths carried in those messages — the advertisement
     /// volume that distinguishes standard (≤1 per message) from Walton
-    /// (≤ m) and the modified protocol (≤ |S′|). Always 0 for the sweep
-    /// engines, like `messages`.
+    /// (≤ m) and the modified protocol (≤ |S′|). Always 0 for the
+    /// confederation and hierarchy engines, like `messages`.
     pub paths_advertised: u64,
     /// Times some node's best route changed.
     pub best_changes: u64,

@@ -9,14 +9,9 @@
 //! hash collisions before declaring a cycle.
 
 use ibgp_types::ExitPathId;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 /// Canonical form of one node's visible state.
-///
-/// The `Ord` impl gives configurations a total order so symmetry-reduced
-/// searches can pick a lexicographically minimal orbit representative.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NodeStateKey {
     /// Sorted ids of `PossibleExits(v, t)`.
     pub possible: Vec<ExitPathId>,
@@ -34,36 +29,12 @@ pub struct NodeStateKey {
 }
 
 /// Canonical form of a full configuration (plus activation phase).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StateKey {
     /// Per-node states, indexed by router id.
     pub nodes: Vec<NodeStateKey>,
     /// Activation-sequence phase (periodic schedules only).
     pub phase: u64,
-}
-
-impl StateKey {
-    /// A 64-bit digest for cheap prefiltering.
-    pub fn digest(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
-    }
-
-    /// Rough heap footprint of this key in bytes, used by memory-bounded
-    /// searches to decide when to compact their visited set. Counts the
-    /// id payloads plus per-`Vec` bookkeeping; it is an estimate, not an
-    /// allocator measurement.
-    pub fn approx_bytes(&self) -> usize {
-        const VEC_OVERHEAD: usize = 3 * std::mem::size_of::<usize>();
-        let mut bytes = std::mem::size_of::<Self>() + self.nodes.len() * VEC_OVERHEAD;
-        for node in &self.nodes {
-            bytes += std::mem::size_of::<NodeStateKey>()
-                + (node.possible.len() + node.advertised.len()) * std::mem::size_of::<ExitPathId>()
-                + node.rr.len() * std::mem::size_of::<u32>();
-        }
-        bytes
-    }
 }
 
 #[cfg(test)]
@@ -80,11 +51,6 @@ mod tests {
             }],
             phase,
         }
-    }
-
-    #[test]
-    fn equal_states_have_equal_digests() {
-        assert_eq!(key(Some(1), 0).digest(), key(Some(1), 0).digest());
     }
 
     #[test]

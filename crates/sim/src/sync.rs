@@ -26,7 +26,7 @@
 //! function of `(u, MyExits(u), peers' advertised sets)` given the fixed
 //! topology and protocol configuration, so the engine caches computed
 //! updates keyed by that input signature and shares the resulting rows
-//! behind [`Arc`]s. This makes three hot paths cheap:
+//! behind [`Arc`]s. This makes two hot paths cheap:
 //!
 //! * **Stability folds into the step.** [`SyncEngine::step`] computes every
 //!   node's update once per step (cache-hitting where inputs are
@@ -35,15 +35,15 @@
 //!   was stable. [`SyncEngine::is_stable`] shares the same cache, so
 //!   `run()`-style `is_stable` + `step` loops compute each update at most
 //!   once per step.
-//! * **Snapshots are interned rows, not deep clones.**
-//!   [`SyncEngine::snapshot`]/[`SyncEngine::restore`] copy a vector of
-//!   `Arc`s; the `restore → step` replays of the legacy and
-//!   loop-prevention reachability searches share row storage and cache
-//!   entries. (The default flat search needs no snapshots at all: it
-//!   steps encoded keys with [`crate::flat::FlatEngine`].)
 //! * **Message accounting reuses per-state transfer sets.** Each state
 //!   carries the transfer-filtered ids it offers every peer, computed once
 //!   when the state is first built rather than twice per peer per step.
+//!
+//! The reachability search does not step this engine: it expands encoded
+//! keys with [`crate::flat::FlatEngine`] (the paper's `Transfer`
+//! relation) or with [`crate::lp::LpEngine`] under loop prevention. Both
+//! compute a router's update with the same free functions this engine
+//! does (`transfer_update`, `reflect_update`).
 //!
 //! Cache-key soundness: within one engine, exit-path ids uniquely identify
 //! the paths (enforced at construction and on inject), and the cache is
@@ -68,16 +68,14 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-// The reachability explorer ships snapshots between worker threads and
+// The reachability explorer ships keys between worker threads and
 // shares the topology behind `&`; keep the cross-thread contracts
 // explicit so a future `Rc`/`Cell` in a row type fails to compile here
 // rather than at a distant spawn site. (`SyncEngine` itself is `Send`
-// but deliberately not `Sync` — the update memo uses `RefCell` — so each
-// worker owns its own engine.)
+// but deliberately not `Sync` — the update memo uses `RefCell`.)
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_send<T: Send>() {}
-    assert_send_sync::<SyncSnapshot>();
     assert_send_sync::<StateKey>();
     assert_send_sync::<FlatKey>();
     assert_send_sync::<StateCodec>();
@@ -136,15 +134,15 @@ impl fmt::Display for SyncOutcome {
 }
 
 /// One node's state — an immutable row shared behind an [`Arc`] between
-/// the live configuration, snapshots, and the update memo.
+/// the live configuration and the update memo.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeState {
     my_exits: Vec<ExitPathRef>,
-    possible: Vec<ExitPathRef>,
+    pub(crate) possible: Vec<ExitPathRef>,
     /// `learnedFrom` per possible exit path.
     learned: BTreeMap<ExitPathId, BgpId>,
-    best: Option<Route>,
-    advertised: Vec<ExitPathRef>,
+    pub(crate) best: Option<Route>,
+    pub(crate) advertised: Vec<ExitPathRef>,
     /// Transfer-filtered advertised ids offered to each I-BGP peer, in
     /// `Topology::ibgp().peers(u)` order — computed once per distinct
     /// state so message accounting needn't re-filter on every step.
@@ -152,7 +150,7 @@ pub(crate) struct NodeState {
     /// Reflection attributes per possible path (loop-prevention mode
     /// only; empty otherwise). Peers read the entries of *advertised*
     /// paths when gathering; the rest ride along for inspection.
-    attrs: BTreeMap<ExitPathId, RrAttrs>,
+    pub(crate) attrs: BTreeMap<ExitPathId, RrAttrs>,
 }
 
 impl NodeState {
@@ -187,16 +185,6 @@ impl NodeState {
             out,
         );
     }
-}
-
-/// An opaque copy of a [`SyncEngine`]'s mutable state, for search
-/// algorithms that explore the configuration space (see `ibgp-analysis`).
-/// Rows are interned: a snapshot is a vector of `Arc`s, so capturing and
-/// restoring are O(n) pointer copies, not deep clones.
-#[derive(Clone)]
-pub struct SyncSnapshot {
-    nodes: Vec<Arc<NodeState>>,
-    time: u64,
 }
 
 /// Memoized node updates: digest of the input signature → rows, with the
@@ -340,15 +328,10 @@ impl<'a> SyncEngine<'a> {
         m
     }
 
-    /// Whether node updates are memoized (the default). Disabling switches
-    /// to the naive reference path that recomputes every update from
-    /// scratch — used by the equivalence tests and benchmarks.
-    pub fn memoized(&self) -> bool {
-        self.memoized
-    }
-
-    /// Enable or disable update memoization. Disabling also drops the
-    /// cache, so re-enabling starts cold.
+    /// Enable or disable update memoization (on by default). Off is the
+    /// naive reference path that recomputes every update from scratch,
+    /// which the equivalence tests compare against. Disabling also drops
+    /// the cache, so re-enabling starts cold.
     pub fn set_memoized(&mut self, on: bool) {
         self.memoized = on;
         if !on {
@@ -368,9 +351,8 @@ impl<'a> SyncEngine<'a> {
     /// and the reflect-to-whom matrix keyed on whom each copy was
     /// learned from (see [`ibgp_proto::reflection`]).
     ///
-    /// Restoring snapshots taken under the *same* setting is fine; the
-    /// two modes' rows are not interchangeable, so flip this right after
-    /// construction, before any step. Drops the update memo.
+    /// The two modes' rows are not interchangeable, so flip this right
+    /// after construction, before any step. Drops the update memo.
     ///
     /// # Panics
     ///
@@ -572,107 +554,17 @@ impl<'a> SyncEngine<'a> {
     /// state, without applying it. This is the naive reference path; the
     /// engine normally goes through the memoized [`SyncEngine::update_row`].
     fn compute_update(&self, u: RouterId) -> NodeState {
-        if self.loop_prevention {
-            return self.compute_update_rr(u);
-        }
         let peers = self.topo.ibgp().peers(u);
-        transfer_update(
-            self.topo,
-            self.config,
-            u,
-            &self.nodes[u.index()].my_exits,
-            &peers,
-            |i| &self.nodes[peers[i].index()].advertised[..],
-        )
-    }
-
-    /// [`SyncEngine::compute_update`] under message-level loop
-    /// prevention: the gather applies the reflect-to-whom matrix plus
-    /// SSLD on the send side, stamps CLUSTER_LIST on the wire, and drops
-    /// cluster loops on the receive side; the stored attributes follow
-    /// the minimum-BGP-id announcing peer (the same winner `learnedFrom`
-    /// tracks).
-    fn compute_update_rr(&self, u: RouterId) -> NodeState {
-        use std::collections::btree_map::Entry;
-        let cur = &self.nodes[u.index()];
-        let mut gathered: BTreeMap<ExitPathId, (ExitPathRef, BgpId, RrAttrs)> = BTreeMap::new();
-        for p in &cur.my_exits {
-            gathered.insert(p.id(), (p.clone(), p.next_hop().bgp_id(), RrAttrs::own()));
+        let my_exits = &self.nodes[u.index()].my_exits;
+        if self.loop_prevention {
+            return reflect_update(self.topo, self.config, u, my_exits, &peers, |i| {
+                let peer = &self.nodes[peers[i].index()];
+                peer.advertised.iter().map(|p| (p, &peer.attrs[&p.id()]))
+            });
         }
-        let ibgp = self.topo.ibgp();
-        for v in ibgp.peers(u) {
-            let sender = self.topo.bgp_id(v);
-            let peer = &self.nodes[v.index()];
-            for p in &peer.advertised {
-                let stored = peer.attrs.get(&p.id());
-                let from = stored.and_then(|a| a.from);
-                if !reflect_allowed(self.topo, v, u, p.exit_point(), from) {
-                    continue;
-                }
-                let wire = stamp_cluster_list(
-                    v,
-                    p.exit_point(),
-                    stored.map_or(&[][..], |a| &a.cluster_list[..]),
-                );
-                if cluster_loop(u, &wire) {
-                    continue;
-                }
-                // SSLD already blocked exitPoint(p) = u, so every arrival
-                // is a genuine I-BGP announcement: minimum announcing id
-                // wins, and the stored attributes follow the winner.
-                match gathered.entry(p.id()) {
-                    Entry::Occupied(mut e) => {
-                        let (_, lf, a) = e.get_mut();
-                        if sender < *lf {
-                            *lf = sender;
-                            *a = RrAttrs::learned(v, wire);
-                        }
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert((p.clone(), sender, RrAttrs::learned(v, wire)));
-                    }
-                }
-            }
-        }
-        let possible: Vec<ExitPathRef> = gathered.values().map(|(p, _, _)| p.clone()).collect();
-        let learned: BTreeMap<ExitPathId, BgpId> =
-            gathered.iter().map(|(&id, &(_, lf, _))| (id, lf)).collect();
-        let attrs: BTreeMap<ExitPathId, RrAttrs> = gathered
-            .into_iter()
-            .map(|(id, (_, _, a))| (id, a))
-            .collect();
-        let routes: Vec<Route> = possible
-            .iter()
-            .map(|p| route_at(self.topo, u, p, learned[&p.id()]))
-            .collect();
-        let best = choose_best(self.config.policy, &routes);
-        let advertised =
-            advertised_set(self.topo, self.config, u, &possible, &routes, best.as_ref());
-        // Send-side filtering only: the receive-side cluster-loop drop is
-        // the *receiver's* decision, applied in its own gather.
-        let outgoing = ibgp
-            .peers(u)
-            .into_iter()
-            .map(|v| {
-                advertised
-                    .iter()
-                    .filter(|p| {
-                        let from = attrs.get(&p.id()).and_then(|a| a.from);
-                        reflect_allowed(self.topo, u, v, p.exit_point(), from)
-                    })
-                    .map(|p| p.id())
-                    .collect()
-            })
-            .collect();
-        NodeState {
-            my_exits: cur.my_exits.clone(),
-            possible,
-            learned,
-            best,
-            advertised,
-            outgoing,
-            attrs,
-        }
+        transfer_update(self.topo, self.config, u, my_exits, &peers, |i| {
+            &self.nodes[peers[i].index()].advertised[..]
+        })
     }
 
     /// Apply one activation step: every node in `set` recomputes its state
@@ -736,22 +628,6 @@ impl<'a> SyncEngine<'a> {
         }
     }
 
-    /// Capture the mutable state for later [`SyncEngine::restore`]. O(n)
-    /// `Arc` clones of interned rows — no deep copy.
-    pub fn snapshot(&self) -> SyncSnapshot {
-        SyncSnapshot {
-            nodes: self.nodes.clone(),
-            time: self.time,
-        }
-    }
-
-    /// Restore a previously captured state (metrics and the update memo
-    /// are left untouched, so replays reuse earlier work).
-    pub fn restore(&mut self, snap: &SyncSnapshot) {
-        self.nodes = snap.nodes.clone();
-        self.time = snap.time;
-    }
-
     /// The vector of best exit ids, indexed by router — the "routing
     /// configuration" two runs are compared on (determinism experiments).
     pub fn best_vector(&self) -> Vec<Option<ExitPathId>> {
@@ -760,91 +636,6 @@ impl<'a> SyncEngine<'a> {
             .map(|s| s.best.as_ref().map(Route::exit_id))
             .collect()
     }
-
-    /// Compute every node's update row once, for deciding stability and
-    /// the partial-order ample set ([`SyncEngine::ample_set`]) of the
-    /// current configuration from one pass. `stable` is exactly
-    /// [`SyncEngine::is_stable`] of the current configuration.
-    pub fn plan(&self) -> StepPlan {
-        let rows: Vec<Arc<NodeState>> = self.topo.routers().map(|u| self.update_row(u)).collect();
-        let stable = rows
-            .iter()
-            .zip(&self.nodes)
-            .all(|(new, old)| Arc::ptr_eq(new, old) || new.key() == old.key());
-        StepPlan { rows, stable }
-    }
-
-    /// The ample activation set for exact partial-order reduction: every
-    /// *enabled* router (planned row differs from its current row) whose
-    /// activation leaves all of its transfer-filtered outgoing
-    /// advertisements unchanged, in ascending id order.
-    ///
-    /// A node's update is a pure function of its own `MyExits` and its
-    /// I-BGP peers' transfer-filtered advertised sets (see the memo-key
-    /// derivation in `memo_key_into` and the session graph in
-    /// `ibgp_topology::IbgpTopology`), so such an activation is
-    /// *invisible*: it rewrites only the mover's private components
-    /// (`possible`, `learnedFrom`, `best`) and no other router's next
-    /// update can read the difference. Invisible activations therefore
-    /// commute with every transition — other singletons *and* the
-    /// full-set simultaneous exchange — and activating all of them at
-    /// once reaches exactly the state any interleaving of them reaches.
-    ///
-    /// Exactness of pruning to this one compound branch (the ample step):
-    ///
-    /// * **Fixed points are preserved.** For any configuration `d`
-    ///   reachable from the current state, the same activation sequence
-    ///   from the ample successor reaches a state differing from `d` only
-    ///   in not-yet-reapplied invisible rows with identical outgoing sets;
-    ///   if `d` is a fixed point, activating those routers (each a real
-    ///   singleton branch) lands exactly on `d`. So the set of reachable
-    ///   stable best-exit vectors — the search's verdict evidence — is
-    ///   unchanged.
-    /// * **The cycle proviso (C3) is discharged structurally.** An
-    ///   invisible activation changes no update input, so the step plan is
-    ///   unchanged across the ample step and every member of the ample set
-    ///   becomes disabled in the successor: the successor's ample set is
-    ///   empty and it expands fully. Ample edges can never chain, let
-    ///   alone close a cycle, so no action is postponed forever and
-    ///   persistent-oscillation detection stays sound.
-    ///
-    /// Returns `None` when no enabled activation's invisibility can be
-    /// proven — the caller must then expand every branch (the
-    /// conservative fallback). Visible activations get no ample treatment
-    /// at all: the full-set simultaneous branch is dependent on every
-    /// visible mover, so no proper subset containing one is persistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` came from a different engine/state (row count
-    /// mismatch).
-    pub fn ample_set(&self, plan: &StepPlan) -> Option<Vec<RouterId>> {
-        assert_eq!(plan.rows.len(), self.nodes.len(), "foreign step plan");
-        let mut ample = Vec::new();
-        for (i, (new, old)) in plan.rows.iter().zip(&self.nodes).enumerate() {
-            if Arc::ptr_eq(new, old) || new.key() == old.key() {
-                continue; // disabled: activating this router is a no-op
-            }
-            if new.outgoing == old.outgoing {
-                ample.push(RouterId::new(i as u32));
-            }
-        }
-        if ample.is_empty() {
-            None
-        } else {
-            Some(ample)
-        }
-    }
-}
-
-/// Every node's update row for one activation step, precomputed once so
-/// a search can decide stability and the ample set of a state from a
-/// single pass. Produced by [`SyncEngine::plan`].
-pub struct StepPlan {
-    rows: Vec<Arc<NodeState>>,
-    /// Whether the planned-from configuration is a fixed point
-    /// (identical to [`SyncEngine::is_stable`]).
-    pub stable: bool,
 }
 
 /// `u`'s post-activation row under the paper's `Transfer` relation (no
@@ -910,6 +701,110 @@ pub(crate) fn transfer_update<'p>(
         outgoing,
         attrs: BTreeMap::new(),
     }
+}
+
+/// `u`'s post-activation row under message-level loop prevention: the
+/// gather applies the reflect-to-whom matrix plus SSLD on the send side
+/// ([`reflect_allowed`]), stamps CLUSTER_LIST on the wire, and drops
+/// cluster loops on the receive side; the stored attributes follow the
+/// minimum-BGP-id announcing peer (the same winner `learnedFrom`
+/// tracks). `advertised(i)` yields `peers[i]`'s advertised paths, each
+/// with the attributes of that peer's stored copy. A pure function of
+/// those inputs, like [`transfer_update`].
+pub(crate) fn reflect_update<'p, I>(
+    topo: &Topology,
+    config: ProtocolConfig,
+    u: RouterId,
+    my_exits: &[ExitPathRef],
+    peers: &[RouterId],
+    advertised: impl Fn(usize) -> I,
+) -> NodeState
+where
+    I: IntoIterator<Item = (&'p ExitPathRef, &'p RrAttrs)>,
+{
+    use std::collections::btree_map::Entry;
+    let mut gathered: BTreeMap<ExitPathId, (ExitPathRef, BgpId, RrAttrs)> = BTreeMap::new();
+    for p in my_exits {
+        gathered.insert(p.id(), (p.clone(), p.next_hop().bgp_id(), RrAttrs::own()));
+    }
+    for (i, &v) in peers.iter().enumerate() {
+        let sender = topo.bgp_id(v);
+        for (p, stored) in advertised(i) {
+            if !reflect_allowed(topo, v, u, p.exit_point(), stored.from) {
+                continue;
+            }
+            let wire = stamp_cluster_list(v, p.exit_point(), &stored.cluster_list);
+            if cluster_loop(u, &wire) {
+                continue;
+            }
+            // SSLD already blocked exitPoint(p) = u, so every arrival is
+            // a genuine I-BGP announcement: minimum announcing id wins,
+            // and the stored attributes follow the winner.
+            match gathered.entry(p.id()) {
+                Entry::Occupied(mut e) => {
+                    let (_, lf, a) = e.get_mut();
+                    if sender < *lf {
+                        *lf = sender;
+                        *a = RrAttrs::learned(v, wire);
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert((p.clone(), sender, RrAttrs::learned(v, wire)));
+                }
+            }
+        }
+    }
+    let possible: Vec<ExitPathRef> = gathered.values().map(|(p, _, _)| p.clone()).collect();
+    let learned: BTreeMap<ExitPathId, BgpId> =
+        gathered.iter().map(|(&id, &(_, lf, _))| (id, lf)).collect();
+    let attrs: BTreeMap<ExitPathId, RrAttrs> = gathered
+        .into_iter()
+        .map(|(id, (_, _, a))| (id, a))
+        .collect();
+    let routes: Vec<Route> = possible
+        .iter()
+        .map(|p| route_at(topo, u, p, learned[&p.id()]))
+        .collect();
+    let best = choose_best(config.policy, &routes);
+    let advertised = advertised_set(topo, config, u, &possible, &routes, best.as_ref());
+    // Send-side filtering only: the receive-side cluster-loop drop is the
+    // *receiver's* decision, applied in its own gather.
+    let outgoing = peers
+        .iter()
+        .map(|&v| {
+            reflected_ids(
+                topo,
+                u,
+                v,
+                advertised.iter().map(|p| (p, attrs[&p.id()].from)),
+            )
+        })
+        .collect();
+    NodeState {
+        my_exits: my_exits.to_vec(),
+        possible,
+        learned,
+        best,
+        advertised,
+        outgoing,
+        attrs,
+    }
+}
+
+/// The ids of `advertised` — each path with the peer `u` learned its
+/// copy from (`None` for its own route) — that `u` may send `v` under
+/// loop prevention, in order.
+pub(crate) fn reflected_ids<'p>(
+    topo: &Topology,
+    u: RouterId,
+    v: RouterId,
+    advertised: impl IntoIterator<Item = (&'p ExitPathRef, Option<RouterId>)>,
+) -> Vec<ExitPathId> {
+    advertised
+        .into_iter()
+        .filter(|&(p, from)| reflect_allowed(topo, u, v, p.exit_point(), from))
+        .map(|(p, _)| p.id())
+        .collect()
 }
 
 /// The advertisement discipline per protocol variant.
@@ -1193,7 +1088,6 @@ mod tests {
             .build()
             .unwrap();
         let mut eng = SyncEngine::new(&topo, ProtocolConfig::STANDARD, vec![exit(1, 1, 0, 0)]);
-        assert!(eng.memoized());
         eng.run(&mut RoundRobin::new(), 100);
         let m = eng.metrics();
         assert!(m.cache_misses > 0, "first computations must miss");
@@ -1301,31 +1195,6 @@ mod tests {
         for u in 0..3 {
             assert_eq!(eng.best_exit(r(u)), Some(ExitPathId::new(1)));
         }
-    }
-
-    /// Snapshots are interned rows: capturing and restoring round-trips
-    /// the visible state and shares storage with the live configuration.
-    #[test]
-    fn snapshots_round_trip_and_share_rows() {
-        let topo = TopologyBuilder::new(3)
-            .link(0, 1, 1)
-            .link(1, 2, 1)
-            .full_mesh()
-            .build()
-            .unwrap();
-        let mut eng = SyncEngine::new(&topo, ProtocolConfig::MODIFIED, vec![exit(1, 1, 0, 0)]);
-        eng.step(&[r(0)]);
-        let snap = eng.snapshot();
-        let key_before = eng.state_key(0);
-        assert!(
-            Arc::ptr_eq(&snap.nodes[0], &eng.nodes[0]),
-            "rows are shared"
-        );
-        eng.step(&[r(1), r(2)]);
-        eng.step(&[r(0)]);
-        eng.restore(&snap);
-        assert_eq!(eng.state_key(0), key_before);
-        assert_eq!(eng.time(), snap.time);
     }
 
     /// An empty system (no exits) is immediately stable.
@@ -1514,6 +1383,28 @@ mod tests {
         }
     }
 
+    /// The routers whose activation from `eng`'s state changes their own
+    /// state but none of their `outgoing_to` views — the invisible moves
+    /// the partial-order reduction may take as one ample branch.
+    fn invisible_moves(eng: &SyncEngine) -> Option<Vec<RouterId>> {
+        let before = eng.state_key(0);
+        let ibgp = eng.topology().ibgp();
+        let ample: Vec<RouterId> = eng
+            .topology()
+            .routers()
+            .filter(|&u| {
+                let mut moved = eng.clone();
+                moved.step(&[u]);
+                moved.state_key(0).nodes[u.index()] != before.nodes[u.index()]
+                    && ibgp
+                        .peers(u)
+                        .into_iter()
+                        .all(|v| moved.outgoing_to(u, v) == eng.outgoing_to(u, v))
+            })
+            .collect();
+        (!ample.is_empty()).then_some(ample)
+    }
+
     /// `FlatEngine::plan` + `successor_into` replicate `step` exactly:
     /// same successor keys, same stability verdict, best vector and
     /// ample set, same metrics deltas.
@@ -1535,97 +1426,57 @@ mod tests {
         ] {
             let exits = vec![exit(1, 1, 0, 2), exit(2, 1, 0, 3)];
             let codec = Arc::new(StateCodec::new(topo.len(), &exits));
-            let mut legacy = SyncEngine::new(&topo, config, exits);
-            let mut flat = FlatEngine::new(&legacy, Arc::clone(&codec));
+            let mut sync = SyncEngine::new(&topo, config, exits);
+            let mut flat = FlatEngine::new(&sync, Arc::clone(&codec));
 
-            // Walk a few frontier states; at each, compare every branch.
+            // Walk a few frontier states; at each, compare every branch
+            // against a stepped clone of the sync engine.
             let mut branches: Vec<Vec<RouterId>> = (0..4).map(|i| vec![r(i)]).collect();
             branches.push((0..4).map(r).collect());
-            let mut key = codec.encode_key(&legacy.state_key(0)).into_words();
-            let mut snap = legacy.snapshot();
+            let mut key = codec.encode_key(&sync.state_key(0)).into_words();
             let mut succ = vec![0u32; codec.key_words()];
             for depth in 0..4 {
-                legacy.restore(&snap);
                 let stable = flat.plan(&key);
-                assert_eq!(stable, legacy.is_stable(), "depth {depth}");
-                assert_eq!(flat.best_vector(), legacy.best_vector(), "depth {depth}");
-                assert_eq!(
-                    flat.ample_set(),
-                    legacy.ample_set(&legacy.plan()),
-                    "depth {depth}"
-                );
+                assert_eq!(stable, sync.is_stable(), "depth {depth}");
+                assert_eq!(flat.best_vector(), sync.best_vector(), "depth {depth}");
+                assert_eq!(flat.ample_set(), invisible_moves(&sync), "depth {depth}");
                 for branch in &branches {
-                    legacy.restore(&snap);
+                    let mut stepped = sync.clone();
                     let m_flat = flat.metrics();
-                    let m_legacy = legacy.metrics();
+                    let m_sync = stepped.metrics();
                     flat.successor_into(branch, &mut succ);
-                    legacy.step(branch);
+                    stepped.step(branch);
                     assert_eq!(
                         codec.decode_key(&FlatKey::new(succ.clone().into_boxed_slice())),
-                        legacy.state_key(0),
+                        stepped.state_key(0),
                         "branch {branch:?} at depth {depth}"
                     );
                     // Identical metrics deltas (cache counters aside —
                     // the two engines schedule memo lookups differently).
                     let d_flat = flat.metrics();
-                    let d_legacy = legacy.metrics();
+                    let d_sync = stepped.metrics();
                     assert_eq!(
                         d_flat.activations - m_flat.activations,
-                        d_legacy.activations - m_legacy.activations
+                        d_sync.activations - m_sync.activations
                     );
                     assert_eq!(
                         d_flat.messages - m_flat.messages,
-                        d_legacy.messages - m_legacy.messages
+                        d_sync.messages - m_sync.messages
                     );
                     assert_eq!(
                         d_flat.paths_advertised - m_flat.paths_advertised,
-                        d_legacy.paths_advertised - m_legacy.paths_advertised
+                        d_sync.paths_advertised - m_sync.paths_advertised
                     );
                     assert_eq!(
                         d_flat.best_changes - m_flat.best_changes,
-                        d_legacy.best_changes - m_legacy.best_changes
+                        d_sync.best_changes - m_sync.best_changes
                     );
                 }
                 // Descend along the full-set branch.
                 flat.successor_into(&branches[4], &mut succ);
                 key = succ.clone().into_boxed_slice();
-                legacy.restore(&snap);
-                legacy.step(&branches[4]);
-                snap = legacy.snapshot();
+                sync.step(&branches[4]);
             }
         }
-    }
-
-    /// The unmemoized flat engine plans the same blocks and reports zero
-    /// cache counters.
-    #[test]
-    fn unmemoized_flat_engine_matches_and_counts_no_cache() {
-        let topo = TopologyBuilder::new(3)
-            .link(0, 1, 1)
-            .link(1, 2, 1)
-            .cluster([0], [1, 2])
-            .build()
-            .unwrap();
-        let exits = vec![exit(1, 1, 0, 1), exit(2, 1, 3, 2)];
-        let codec = Arc::new(StateCodec::new(topo.len(), &exits));
-        let fast_src = SyncEngine::new(&topo, ProtocolConfig::STANDARD, exits.clone());
-        let mut slow_src = SyncEngine::new(&topo, ProtocolConfig::STANDARD, exits);
-        slow_src.set_memoized(false);
-        let mut fast = FlatEngine::new(&fast_src, Arc::clone(&codec));
-        let mut slow = FlatEngine::new(&slow_src, Arc::clone(&codec));
-        let all = [r(0), r(1), r(2)];
-        let mut key = codec.encode_key(&fast_src.state_key(0)).into_words();
-        let (mut a, mut b) = (vec![0u32; key.len()], vec![0u32; key.len()]);
-        for _ in 0..5 {
-            assert_eq!(fast.plan(&key), slow.plan(&key));
-            fast.successor_into(&all, &mut a);
-            slow.successor_into(&all, &mut b);
-            assert_eq!(a, b);
-            key = a.clone().into_boxed_slice();
-        }
-        let m = slow.metrics();
-        assert_eq!((m.cache_hits, m.cache_misses), (0, 0));
-        assert!(fast.metrics().cache_misses > 0);
-        assert_eq!(m.activations, fast.metrics().activations);
     }
 }

@@ -38,6 +38,14 @@ pub use spf::SpfTable;
 
 use ibgp_types::{BgpId, IgpCost, RouterId};
 
+/// Largest router count a scenario file may declare, in every text
+/// format the workspace parses (`.ibgp` specs, `.conf` conformance
+/// scenarios). Building and simulating a topology allocates per router
+/// and per router pair (shortest paths), so an absurd count must fail as
+/// a line-numbered parse error rather than abort the process on
+/// allocation — the daemon parses untrusted request bodies.
+pub const MAX_ROUTERS: usize = 1024;
+
 /// A complete, validated `AS0` topology: physical graph, precomputed SPF,
 /// logical session graph, and per-router BGP identifiers.
 #[derive(Debug, Clone)]
