@@ -1,22 +1,58 @@
 //! Regenerate every table and figure claim of the paper.
 //!
 //! Prints a Markdown verdict table (the source of EXPERIMENTS.md) and
-//! writes `experiments_output.json` next to the working directory.
+//! writes `experiments_output.json` to the working directory; exits 1 if
+//! any row diverges.
 //!
 //! Run with `cargo run --release -p ibgp-bench --bin experiments`.
 
 use ibgp::npc::{check_equivalence, Formula};
 use ibgp::proto::variants::ProtocolConfig;
+use ibgp::scenarios::random::{random_scenario, RandomConfig};
 use ibgp::scenarios::{fig13, fig14, fig1a, fig1b, fig2, fig3};
 use ibgp::sim::{Engine, RoundRobin, SeededJitter, SyncEngine};
 use ibgp::theorems::verify_paper_theorems;
 use ibgp::{
     render_table, ExperimentRow, ExploreOptions, MedMode, Network, OscillationClass,
-    ProtocolVariant, RuleOrder, SelectionPolicy,
+    ProtocolVariant, RuleOrder, Scenario, SelectionPolicy,
 };
 
 const MAX_STATES: usize = 500_000;
 const MAX_STEPS: u64 = 100_000;
+
+/// Protocol variants swept by the overhead row.
+const VARIANTS: [ProtocolVariant; 3] = [
+    ProtocolVariant::Standard,
+    ProtocolVariant::Walton,
+    ProtocolVariant::Modified,
+];
+
+/// The random-configuration sizes of the scaling rows
+/// (clusters, clients-per-cluster, exits).
+const SCALE_POINTS: [(usize, usize, usize); 4] = [(2, 1, 2), (3, 2, 4), (5, 3, 8), (8, 4, 16)];
+
+/// A random scenario at one scale point.
+fn scaled_scenario(point: (usize, usize, usize), seed: u64) -> Scenario {
+    let (clusters, clients, exits) = point;
+    random_scenario(
+        RandomConfig {
+            clusters,
+            clients_per_cluster: clients,
+            exits,
+            neighbor_ases: 3,
+            max_med: 10,
+            max_cost: 10,
+            extra_links: clusters,
+        },
+        seed,
+    )
+}
+
+/// Human label for a scale point.
+fn scale_label(point: (usize, usize, usize)) -> String {
+    let n = point.0 * (1 + point.1);
+    format!("{}r/{}x", n, point.2)
+}
 
 fn classify_of(net: &Network) -> OscillationClass {
     net.classify(ExploreOptions::new().max_states(MAX_STATES)).0
@@ -265,7 +301,6 @@ fn e7_fig14() -> Vec<ExperimentRow> {
 }
 
 fn e8_e9_e12_theorems() -> Vec<ExperimentRow> {
-    use ibgp::scenarios::random::{random_scenario, RandomConfig};
     let mut all = true;
     let mut tested = 0;
     for seed in 0..10 {
@@ -291,7 +326,6 @@ fn e8_e9_e12_theorems() -> Vec<ExperimentRow> {
 }
 
 fn e10_overhead() -> Vec<ExperimentRow> {
-    use ibgp_bench::{scale_label, scaled_scenario, SCALE_POINTS, VARIANTS};
     let mut lines = Vec::new();
     let mut monotone_ok = true;
     for &point in &SCALE_POINTS {
@@ -325,7 +359,6 @@ fn e10_overhead() -> Vec<ExperimentRow> {
 }
 
 fn e11_convergence_scale() -> Vec<ExperimentRow> {
-    use ibgp_bench::{scale_label, scaled_scenario, SCALE_POINTS};
     let mut lines = Vec::new();
     let mut all_converge = true;
     for &point in &SCALE_POINTS {
@@ -492,6 +525,69 @@ fn e15_adaptive() -> Vec<ExperimentRow> {
     ]
 }
 
+fn e16_loop_prevention() -> Vec<ExperimentRow> {
+    use ibgp::analysis::classify;
+    use ibgp::hunt::{classify_spec, generate_spec, Family, HuntOptions, SpecKind};
+    // Topologies per reflection-kind family, and their campaign seed.
+    const PER_FAMILY: u64 = 334;
+    const SEED: u64 = 20260809;
+
+    // Paper figures: engine-level classification, loop prevention off
+    // and then on.
+    let figures = ibgp::scenarios::all_scenarios();
+    let figure_flips = figures
+        .iter()
+        .filter(|s| {
+            let class = |lp: bool| {
+                let opts = ExploreOptions::new().loop_prevention(lp);
+                classify(&s.topology, ProtocolConfig::STANDARD, &s.exits, opts).0
+            };
+            class(false) != class(true)
+        })
+        .count();
+
+    // The reflection-kind families only: confed/hierarchy specs have no
+    // reflection sessions to stamp.
+    let opts = HuntOptions::default();
+    let (mut flips, mut stable_to_transient) = ([0u64; 3], 0u64);
+    let families = [Family::Reflection, Family::MultiReflector, Family::FullMesh];
+    for (family, flipped) in families.into_iter().zip(&mut flips) {
+        for index in 0..PER_FAMILY {
+            let mut spec = generate_spec(family, SEED, index);
+            let off = classify_spec(&spec, &opts).expect("generated specs classify");
+            match &mut spec.kind {
+                SpecKind::Reflection(r) => r.loop_prevention = true,
+                _ => unreachable!("reflection-kind families only"),
+            }
+            let on = classify_spec(&spec, &opts).expect("generated specs classify");
+            if off.class != on.class {
+                *flipped += 1;
+                if off.class == OscillationClass::Stable && on.class == OscillationClass::Transient
+                {
+                    stable_to_transient += 1;
+                }
+            }
+        }
+    }
+    let total: u64 = flips.iter().sum();
+    let tallies = families
+        .iter()
+        .zip(flips)
+        .map(|(family, n)| format!("{} {n}/{PER_FAMILY}", family.keyword()))
+        .collect::<Vec<_>>()
+        .join(", ");
+    vec![ExperimentRow::new(
+        "E16",
+        "RFC 4456 loop prevention (extension)",
+        "message-level reflection mechanics change no paper figure's verdict; on random topologies they flip verdicts only where a cluster has several reflectors, and only stable→transient",
+        format!(
+            "{figure_flips}/{} figures change class; flips: {tallies}; {stable_to_transient}/{total} stable→transient",
+            figures.len()
+        ),
+        figure_flips == 0 && flips[0] == 0 && flips[2] == 0 && stable_to_transient == total,
+    )]
+}
+
 fn main() {
     let mut rows = Vec::new();
     eprintln!("running E1 (Fig 1a)…");
@@ -521,6 +617,8 @@ fn main() {
     rows.extend(e10_overhead());
     eprintln!("running E11 (convergence scale)…");
     rows.extend(e11_convergence_scale());
+    eprintln!("running E16 (loop prevention)…");
+    rows.extend(e16_loop_prevention());
 
     println!("{}", render_table(&rows));
     let failed = rows.iter().filter(|r| !r.pass).count();
@@ -534,5 +632,26 @@ fn main() {
     std::fs::write("experiments_output.json", json).expect("writable cwd");
     if failed > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_points_grow() {
+        let sizes: Vec<usize> = SCALE_POINTS.iter().map(|p| p.0 * (1 + p.1)).collect();
+        assert!(sizes.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(scale_label(SCALE_POINTS[0]), "4r/2x");
+    }
+
+    #[test]
+    fn scaled_scenarios_build() {
+        for (i, &p) in SCALE_POINTS.iter().enumerate() {
+            let s = scaled_scenario(p, i as u64);
+            assert!(s.topology.physical().is_connected());
+            assert_eq!(s.exits.len(), p.2);
+        }
     }
 }

@@ -149,7 +149,12 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
             } else {
                 Err(err(
                     ln,
-                    format!("`{}` takes {} argument(s), got {}", toks[0], n - 1, toks.len() - 1),
+                    format!(
+                        "`{}` takes {} argument(s), got {}",
+                        toks[0],
+                        n - 1,
+                        toks.len() - 1
+                    ),
                 ))
             }
         };
@@ -307,7 +312,10 @@ fn validate_refs(s: &Scenario) -> Result<(), ParseError> {
     }
     for (u, v) in s.peers.iter().chain(s.clients.iter()) {
         if !in_range(*u) || !in_range(*v) {
-            return Err(err(1, format!("session {u}-{v} references a router >= {n}")));
+            return Err(err(
+                1,
+                format!("session {u}-{v} references a router >= {n}"),
+            ));
         }
     }
     for (id, at) in &s.exits {
@@ -547,7 +555,10 @@ expect never-sent 1 0 1
         assert_eq!(report.failures.len(), 1);
         let f = &report.failures[0];
         assert_eq!(f.line, 8);
-        assert_eq!(f.expect, Expect::NoRoute(RouterId::new(1), ExitPathId::new(1)));
+        assert_eq!(
+            f.expect,
+            Expect::NoRoute(RouterId::new(1), ExitPathId::new(1))
+        );
         assert!(f.observed.contains("knows path"), "{}", f.observed);
         assert!(f.to_string().contains("line 8"), "{f}");
     }
@@ -560,11 +571,31 @@ expect never-sent 1 0 1
             ("conformance 1\nname a\nbogus 3\n", 3, "unknown directive"),
             ("conformance 1\nname a\nname b\n", 3, "duplicate `name`"),
             ("conformance 1\nrouters 0\n", 2, "at least 1"),
-            ("conformance 1\nrouters 1025\n", 2, "exceeds the limit of 1024"),
-            ("conformance 1\nname a\nrouters 2\nrouters 2\n", 4, "duplicate `routers`"),
-            ("conformance 1\nname a\nrouters 2\nlink 0 1\n", 4, "takes 3 argument(s)"),
-            ("conformance 1\nname a\nrouters 2\nexit 1 by 0\n", 4, "expected `exit P at R`"),
-            ("conformance 1\nname a\nrouters 2\nexit 0 at 0\n", 4, "reserved"),
+            (
+                "conformance 1\nrouters 1025\n",
+                2,
+                "exceeds the limit of 1024",
+            ),
+            (
+                "conformance 1\nname a\nrouters 2\nrouters 2\n",
+                4,
+                "duplicate `routers`",
+            ),
+            (
+                "conformance 1\nname a\nrouters 2\nlink 0 1\n",
+                4,
+                "takes 3 argument(s)",
+            ),
+            (
+                "conformance 1\nname a\nrouters 2\nexit 1 by 0\n",
+                4,
+                "expected `exit P at R`",
+            ),
+            (
+                "conformance 1\nname a\nrouters 2\nexit 0 at 0\n",
+                4,
+                "reserved",
+            ),
             (
                 "conformance 1\nname a\nrouters 2\nexit 1 at 0\nexit 1 at 1\n",
                 5,
@@ -598,10 +629,22 @@ expect never-sent 1 0 1
         }
         // Structural omissions are reported even without a specific line.
         for (text, needle) in [
-            ("conformance 1\nrouters 2\nexit 1 at 0\nexpect route 0 1\n", "missing `name`"),
-            ("conformance 1\nname a\nexit 1 at 0\nexpect route 0 1\n", "missing `routers`"),
-            ("conformance 1\nname a\nrouters 2\nexpect route 0 1\n", "injects no exit paths"),
-            ("conformance 1\nname a\nrouters 2\nexit 1 at 0\n", "asserts nothing"),
+            (
+                "conformance 1\nrouters 2\nexit 1 at 0\nexpect route 0 1\n",
+                "missing `name`",
+            ),
+            (
+                "conformance 1\nname a\nexit 1 at 0\nexpect route 0 1\n",
+                "missing `routers`",
+            ),
+            (
+                "conformance 1\nname a\nrouters 2\nexpect route 0 1\n",
+                "injects no exit paths",
+            ),
+            (
+                "conformance 1\nname a\nrouters 2\nexit 1 at 0\n",
+                "asserts nothing",
+            ),
         ] {
             let e = parse(text).expect_err(text);
             assert!(e.message.contains(needle), "{text:?} -> {e}");

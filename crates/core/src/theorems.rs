@@ -13,8 +13,8 @@
 //!    `PossibleExits` set (Lemma 7.2).
 //!
 //! [`verify_paper_theorems`] executes all four on a given topology/exit
-//! set and reports each verdict; the property tests and benches drive it
-//! over random configurations.
+//! set and reports each verdict; the property tests and the
+//! `experiments` binary drive it over random configurations.
 
 use crate::network::Network;
 use ibgp_analysis::{flush_report, forwarding_loops};

@@ -33,7 +33,11 @@ fn single_rr_spec(n: usize, seed: u64) -> ScenarioSpec {
     for _ in 0..next(3) {
         let u = next(n as u64) as u32;
         let v = next(n as u64) as u32;
-        if u != v && !links.iter().any(|&(a, b, _)| (a, b) == (u, v) || (b, a) == (u, v)) {
+        if u != v
+            && !links
+                .iter()
+                .any(|&(a, b, _)| (a, b) == (u, v) || (b, a) == (u, v))
+        {
             links.push((u, v, 1 + next(9)));
         }
     }

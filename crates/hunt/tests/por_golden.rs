@@ -15,35 +15,16 @@
 //!
 //! POR's ample-set choice is a pure function of each state, so pruned
 //! verdicts must additionally be bit-identical across worker counts.
+//!
+//! The seed-5 family slice (`common::family_slice`) holds to the same
+//! class and stable vectors whenever its plain search completes, and
+//! POR never loses completeness there.
 
+mod common;
+
+use common::{corpus_specs, family_slice};
 use ibgp_analysis::OscillationClass;
-use ibgp_hunt::{classify_spec, parse, HuntOptions, Verdict};
-use std::path::PathBuf;
-
-fn corpus_dir(sub: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../corpus/{sub}"))
-}
-
-fn corpus_specs(sub: &str) -> Vec<(String, ibgp_hunt::ScenarioSpec)> {
-    let dir = corpus_dir(sub);
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("missing corpus dir {}: {e}", dir.display()))
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ibgp"))
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "no .ibgp files under {}", dir.display());
-    paths
-        .into_iter()
-        .map(|p| {
-            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
-            let text = std::fs::read_to_string(&p)
-                .unwrap_or_else(|e| panic!("unreadable {}: {e}", p.display()));
-            let spec = parse(&text).unwrap_or_else(|e| panic!("{name} failed to parse: {e}"));
-            (name, spec)
-        })
-        .collect()
-}
+use ibgp_hunt::{classify_spec, HuntOptions, Verdict};
 
 fn opts(por: bool, symmetry: bool, jobs: usize) -> HuntOptions {
     HuntOptions {
@@ -121,6 +102,24 @@ fn every_committed_specimen_is_por_equivalent() {
                     assert_equivalent(&name, &tag, &off, &on8);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn the_family_slice_is_por_equivalent() {
+    for (name, spec) in family_slice() {
+        let off =
+            classify_spec(&spec, &opts(false, false, 0)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let on =
+            classify_spec(&spec, &opts(true, false, 0)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if off.complete {
+            assert_eq!(on.class, off.class, "{name}: class drifted");
+            assert_eq!(
+                on.stable_vectors, off.stable_vectors,
+                "{name}: stable vectors drifted"
+            );
+            assert!(on.complete, "{name}: POR lost completeness");
         }
     }
 }

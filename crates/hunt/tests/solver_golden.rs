@@ -19,36 +19,20 @@
 //!   states and brute-force enumeration would need 6^10 ≈ 60.5 million
 //!   candidates, but the solver proves "exactly one stable routing,
 //!   transient oscillation" without visiting a single state.
+//!
+//! The seed-5 family slice (`common::family_slice`) mixes kinds. The
+//! solver takes its reflection specs under the standard protocol, and
+//! every stable vector of a complete plain search is among the solver's
+//! global fixed points; it declines the rest, whose verdict is the
+//! search's own (`origin=search`).
 
+mod common;
+
+use common::{corpus_specs, family_slice};
 use ibgp_analysis::OscillationClass;
-use ibgp_hunt::{classify_spec, parse, HuntOptions};
+use ibgp_hunt::{classify_spec, HuntOptions, SpecKind};
+use ibgp_proto::ProtocolVariant;
 use ibgp_types::{SolverMode, VerdictOrigin};
-use std::path::PathBuf;
-
-fn corpus_dir(sub: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../corpus/{sub}"))
-}
-
-fn corpus_specs(sub: &str) -> Vec<(String, ibgp_hunt::ScenarioSpec)> {
-    let dir = corpus_dir(sub);
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("missing corpus dir {}: {e}", dir.display()))
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ibgp"))
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "no .ibgp files under {}", dir.display());
-    paths
-        .into_iter()
-        .map(|p| {
-            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
-            let text = std::fs::read_to_string(&p)
-                .unwrap_or_else(|e| panic!("unreadable {}: {e}", p.display()));
-            let spec = parse(&text).unwrap_or_else(|e| panic!("{name} failed to parse: {e}"));
-            (name, spec)
-        })
-        .collect()
-}
 
 fn opts(solver: SolverMode, por: bool) -> HuntOptions {
     HuntOptions {
@@ -104,6 +88,39 @@ fn every_committed_specimen_agrees_with_the_search_baseline() {
                     "{name}: every stable routing here is reachable"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn the_family_slice_keeps_the_solver_contract() {
+    for (name, spec) in family_slice() {
+        let search = classify_spec(&spec, &opts(SolverMode::Search, false))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let sat = classify_spec(&spec, &opts(SolverMode::Sat, false))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let encodable = matches!(
+            &spec.kind,
+            SpecKind::Reflection(r) if r.variant == ProtocolVariant::Standard
+        );
+        if encodable {
+            assert_eq!(sat.origin, VerdictOrigin::Solver, "{name}: wrong backend");
+            if search.complete {
+                assert!(
+                    search
+                        .stable_vectors
+                        .iter()
+                        .all(|v| sat.stable_vectors.contains(v)),
+                    "{name}: the search found a stable vector the solver missed"
+                );
+            }
+        } else {
+            assert_eq!(sat.origin, VerdictOrigin::Search, "{name}: origin=search");
+            assert_eq!(
+                (sat.class, sat.states, &sat.stable_vectors),
+                (search.class, search.states, &search.stable_vectors),
+                "{name}: a declined spec must get the search verdict"
+            );
         }
     }
 }

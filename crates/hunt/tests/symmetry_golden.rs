@@ -8,38 +8,18 @@
 //! classes, so a symmetry bug cannot hide behind a matching-but-wrong
 //! pair of verdicts.
 //!
+//! The seed-5 family slice (`common::family_slice`) holds to the same
+//! class, stable vectors and completeness.
+//!
 //! Negative controls ride along: the hash-compaction mode must finish
 //! every paper figure with zero observable digest collisions (64-bit
 //! digests over searches this size), reporting the identical class.
 
+mod common;
+
+use common::{corpus_specs, family_slice};
 use ibgp_analysis::OscillationClass;
-use ibgp_hunt::{classify_spec, parse, HuntOptions};
-use std::path::PathBuf;
-
-fn corpus_dir(sub: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../corpus/{sub}"))
-}
-
-fn corpus_specs(sub: &str) -> Vec<(String, ibgp_hunt::ScenarioSpec)> {
-    let dir = corpus_dir(sub);
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("missing corpus dir {}: {e}", dir.display()))
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ibgp"))
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "no .ibgp files under {}", dir.display());
-    paths
-        .into_iter()
-        .map(|p| {
-            let name = p.file_stem().unwrap().to_string_lossy().into_owned();
-            let text = std::fs::read_to_string(&p)
-                .unwrap_or_else(|e| panic!("unreadable {}: {e}", p.display()));
-            let spec = parse(&text).unwrap_or_else(|e| panic!("{name} failed to parse: {e}"));
-            (name, spec)
-        })
-        .collect()
-}
+use ibgp_hunt::{classify_spec, HuntOptions};
 
 fn opts(symmetry: bool) -> HuntOptions {
     HuntOptions {
@@ -90,6 +70,22 @@ fn every_committed_specimen_classifies_identically_under_symmetry() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn the_family_slice_classifies_identically_under_symmetry() {
+    for (name, spec) in family_slice() {
+        let plain = classify_spec(&spec, &opts(false))
+            .unwrap_or_else(|e| panic!("{name}: plain classify failed: {e}"));
+        let sym = classify_spec(&spec, &opts(true))
+            .unwrap_or_else(|e| panic!("{name}: symmetric classify failed: {e}"));
+        assert_eq!(sym.class, plain.class, "{name}: class drifted");
+        assert_eq!(
+            sym.stable_vectors, plain.stable_vectors,
+            "{name}: stable vectors drifted"
+        );
+        assert_eq!(sym.complete, plain.complete, "{name}: completeness drifted");
     }
 }
 

@@ -18,7 +18,7 @@
 //!   drives the system into the configuration induced by an assignment;
 //! * [`verify`] — the mechanical equivalence check
 //!   `J satisfiable ⟺ SR_J can stabilize`, exercised against DPLL over
-//!   formula corpora in the tests and benches.
+//!   formula corpora in the tests and the `experiments` E5 row.
 //!
 //! The paper's Figures 7–9 are not fully recoverable from the source
 //! text, so the gadget internals here are a documented reconstruction

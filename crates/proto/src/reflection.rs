@@ -245,10 +245,7 @@ mod tests {
     fn stamping_prepends_the_reflector() {
         assert_eq!(stamp_cluster_list(r(0), r(0), &[]), Vec::<RouterId>::new());
         assert_eq!(stamp_cluster_list(r(0), r(1), &[]), vec![r(0)]);
-        assert_eq!(
-            stamp_cluster_list(r(3), r(1), &[r(0)]),
-            vec![r(3), r(0)],
-        );
+        assert_eq!(stamp_cluster_list(r(3), r(1), &[r(0)]), vec![r(3), r(0)],);
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn scenario() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibgp_analysis::{classify, ExploreOptions, OscillationClass};
+    use ibgp_analysis::{classify, explore, ExploreOptions, OscillationClass};
     use ibgp_proto::variants::ProtocolConfig;
     use ibgp_sim::{Engine, RoundRobin, SyncEngine};
 
@@ -145,6 +145,25 @@ mod tests {
         );
         assert_eq!(class, OscillationClass::Persistent, "{reach:?}");
         assert!(reach.complete);
+    }
+
+    #[test]
+    fn walton_search_is_identical_at_every_worker_count() {
+        let s = scenario();
+        let search = |jobs: usize| {
+            let opts = ExploreOptions::new().max_states(MAX_STATES).jobs(jobs);
+            explore(&s.topology, ProtocolConfig::WALTON, s.exits(), opts)
+        };
+        let sequential = search(1);
+        for jobs in [2, 4, 8] {
+            let parallel = search(jobs);
+            assert_eq!(parallel.states, sequential.states, "jobs={jobs}");
+            assert_eq!(parallel.complete, sequential.complete, "jobs={jobs}");
+            assert_eq!(
+                parallel.stable_vectors, sequential.stable_vectors,
+                "jobs={jobs}"
+            );
+        }
     }
 
     #[test]

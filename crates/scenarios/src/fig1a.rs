@@ -29,7 +29,7 @@ use ibgp_topology::TopologyBuilder;
 use ibgp_types::{AsId, ExitPath, ExitPathRef, Med};
 use std::sync::Arc;
 
-/// Router indices, for readable assertions in tests and benches.
+/// Router indices, for readable assertions in tests.
 pub mod nodes {
     use ibgp_types::RouterId;
     /// Route reflector A.
@@ -156,6 +156,9 @@ mod tests {
             ExploreOptions::new().max_states(MAX_STATES),
         );
         assert_eq!(class, OscillationClass::Stable, "reach: {reach:?}");
+        let mut eng = SyncEngine::new(&s.topology, ProtocolConfig::WALTON, s.exits());
+        let outcome = eng.run(&mut RoundRobin::new(), 10_000);
+        assert!(outcome.converged(), "{outcome}");
     }
 
     #[test]

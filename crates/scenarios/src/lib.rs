@@ -14,7 +14,7 @@
 //! | [`fig14`] | Fig 14 | forwarding loop under standard & Walton; loop-free under modified |
 //!
 //! plus [`random`] — seeded generators of route-reflection topologies and
-//! exit-path sets for property tests and benches.
+//! exit-path sets for property tests and the `experiments` rows.
 //!
 //! Where the source text does not fully specify a figure (Fig 3's artwork,
 //! Fig 13's edge lists), the scenario is a documented reconstruction that

@@ -2,7 +2,8 @@
 //!
 //! Used by property tests (the §7 theorems must hold on *arbitrary*
 //! configurations, not just the paper's figures) and by the scaling
-//! benches (E10/E11). Everything is deterministic per seed.
+//! rows of the `experiments` binary (E10/E11). Everything is
+//! deterministic per seed.
 
 use crate::Scenario;
 use ibgp_topology::{Topology, TopologyBuilder};

@@ -25,7 +25,7 @@ pub mod store;
 
 pub use batch::{report_json, run_batch, BatchEntry, BatchOutcome};
 pub use sched::{Answer, JobResult, Request, Scheduler, Ticket};
-pub use server::{parse_header, submit_text, Response, Server};
+pub use server::{parse_header, submit_text, Response, Server, MAX_REQUEST_BYTES};
 pub use store::{
     class_from_keyword, class_keyword, vectors_from_token, vectors_token, Entry, StoredBudget,
     VerdictStore,

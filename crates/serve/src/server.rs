@@ -19,15 +19,23 @@
 //! or `err <message>` followed by `end`. A bare `ping` line answers
 //! `ok pong` / `end` (liveness probe). The terminator is safe: `end` is
 //! not a directive of the `.ibgp` format, so no valid spec contains it
-//! as a line.
+//! as a line. A request longer than [`MAX_REQUEST_BYTES`], or one that
+//! is not UTF-8, gets an `err` too.
 
 use crate::sched::{Request, Scheduler};
 use crate::store::{class_keyword, vectors_token};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// The most bytes one request may send, header and body together. The
+/// largest committed specimen is about 1 KiB, the hunt generators print
+/// under 0.5 KiB, and the largest §5 reduction within the `.ibgp` router
+/// cap prints 66,162 bytes, so this leaves 16x headroom while bounding
+/// what one client can make the daemon buffer.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// A running daemon; dropping it (or calling [`Server::shutdown`]) stops
 /// the accept loop.
@@ -99,13 +107,15 @@ impl Drop for Server {
 }
 
 fn handle_connection(stream: TcpStream, sched: &Scheduler) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?).take(MAX_REQUEST_BYTES);
     let mut writer = stream;
-    let mut header = String::new();
-    if reader.read_line(&mut header)? == 0 {
-        return Ok(());
+    let mut line = String::new();
+    match read_request_line(&mut reader, &mut line)? {
+        Ok(true) => {}
+        Ok(false) => return Ok(()),
+        Err(e) => return respond_err(&mut writer, e),
     }
-    let header = header.trim_end();
+    let header = line.trim_end();
     if header == "ping" {
         writer.write_all(b"ok pong\nend\n")?;
         return Ok(());
@@ -116,9 +126,10 @@ fn handle_connection(stream: TcpStream, sched: &Scheduler) -> io::Result<()> {
     };
     let mut text = String::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return respond_err(&mut writer, "connection closed before `end`");
+        match read_request_line(&mut reader, &mut line)? {
+            Ok(true) => {}
+            Ok(false) => return respond_err(&mut writer, "connection closed before `end`"),
+            Err(e) => return respond_err(&mut writer, e),
         }
         if line.trim_end() == "end" {
             break;
@@ -151,6 +162,22 @@ fn handle_connection(stream: TcpStream, sched: &Scheduler) -> io::Result<()> {
             Ok(())
         }
         Err(e) => respond_err(&mut writer, &e),
+    }
+}
+
+/// Read the next request line into `line`, replacing its contents:
+/// `Ok(false)` at end of stream, `Err` with the reply for a request over
+/// [`MAX_REQUEST_BYTES`] or a line that is not UTF-8.
+fn read_request_line(
+    reader: &mut io::Take<BufReader<TcpStream>>,
+    line: &mut String,
+) -> io::Result<Result<bool, &'static str>> {
+    line.clear();
+    match reader.read_line(line) {
+        _ if reader.limit() == 0 && !line.ends_with('\n') => Ok(Err("request too large")),
+        Ok(n) => Ok(Ok(n > 0)),
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(Err("request is not UTF-8")),
+        Err(e) => Err(e),
     }
 }
 
@@ -196,14 +223,23 @@ pub fn parse_header(line: &str) -> Result<Request, String> {
                         .map_err(|_| format!("invalid deadline-ms `{value}`"))?,
                 );
             }
-            "symmetry" => request.opts.symmetry = value == "1",
-            "por" => request.opts.por = value == "1",
+            "symmetry" => request.opts.symmetry = flag(key, value)?,
+            "por" => request.opts.por = flag(key, value)?,
             "solver" => request.opts.solver = value.parse()?,
-            "loop-prevention" => request.opts.loop_prevention = value == "1",
+            "loop-prevention" => request.opts.loop_prevention = flag(key, value)?,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
     Ok(request)
+}
+
+/// A boolean header value: `0` or `1`, nothing else.
+fn flag(key: &str, value: &str) -> Result<bool, String> {
+    match value {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err(format!("invalid {key} `{value}` (want 0 or 1)")),
+    }
 }
 
 /// Client side of the protocol: send one `.ibgp` text to `addr` under
@@ -308,6 +344,16 @@ mod tests {
         assert!(r.opts.loop_prevention);
         let r = parse_header("classify loop-prevention=0").unwrap();
         assert!(!r.opts.loop_prevention);
+        let r = parse_header("classify symmetry=1 por=1").unwrap();
+        assert!(r.opts.symmetry && r.opts.por);
+        for bad in [
+            "classify symmetry=yes",
+            "classify por=true",
+            "classify loop-prevention=2",
+            "classify symmetry=",
+        ] {
+            assert!(parse_header(bad).is_err(), "{bad}");
+        }
         assert!(parse_header("classify max-states=x").is_err());
         assert!(parse_header("classify bogus=1").is_err());
         assert!(parse_header("destroy").is_err());

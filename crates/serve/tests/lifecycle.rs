@@ -4,7 +4,7 @@
 //! error without taking the daemon down.
 
 use ibgp_hunt::HuntOptions;
-use ibgp_serve::{submit_text, Request, Scheduler, Server, VerdictStore};
+use ibgp_serve::{submit_text, Request, Scheduler, Server, VerdictStore, MAX_REQUEST_BYTES};
 use ibgp_types::StopReason;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -207,10 +207,12 @@ fn hostile_specs_get_an_error_and_the_daemon_survives() {
     let server = Server::bind("127.0.0.1:0", Arc::clone(&sched)).expect("bind");
     let addr = server.local_addr();
     let huge = "ibgp 1\nname huge\nkind reflection\nprotocol standard\nrouters 3000000000\n";
+    // 100,000 levels (1.0 MB) stays under the request cap, so the
+    // parser's depth check is what answers.
     let deep = format!(
         "ibgp 1\nname deep\nkind hierarchy\nprotocol single-best\nrouters 1\nhcluster {}{}\n",
-        "( r 0 m ".repeat(200_000),
-        ") ".repeat(200_000)
+        "( r 0 m ".repeat(100_000),
+        ") ".repeat(100_000)
     );
     for (label, text) in [("huge", huge.to_string()), ("deep", deep)] {
         let answer = submit_text(addr, &text, &request(10_000)).expect("round trip");
@@ -222,6 +224,57 @@ fn hostile_specs_get_an_error_and_the_daemon_survives() {
         assert_eq!(ping(addr), "ok pong", "{label}: daemon still up");
     }
     assert_eq!(sched.searches_run(), 0, "nothing reached the scheduler");
+}
+
+/// A request that outgrows `MAX_REQUEST_BYTES` (here a body streamed
+/// without `end`) is answered `err request too large` at the cap instead
+/// of being buffered, and the daemon keeps answering.
+#[test]
+fn an_oversized_request_gets_an_error_and_the_daemon_survives() {
+    let sched = Arc::new(Scheduler::new(VerdictStore::in_memory(), 1));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&sched)).expect("bind");
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(b"classify\n").expect("send header");
+    let chunk = "link 0 1 1\n".repeat(4096);
+    let mut sent = 0;
+    while sent < 4 * MAX_REQUEST_BYTES {
+        // The daemon stops reading at the cap and closes after its
+        // answer, so a write may fail from then on.
+        if stream.write_all(chunk.as_bytes()).is_err() {
+            break;
+        }
+        sent += chunk.len() as u64;
+    }
+    let mut status = String::new();
+    BufReader::new(stream)
+        .read_line(&mut status)
+        .expect("read the answer");
+    assert_eq!(status.trim_end(), "err request too large");
+    assert_eq!(ping(addr), "ok pong", "daemon still up");
+    assert_eq!(sched.searches_run(), 0, "nothing reached the scheduler");
+}
+
+/// A header or body that is not UTF-8 gets an `err` answer, not a
+/// silently closed connection.
+#[test]
+fn invalid_utf8_gets_an_error() {
+    let sched = Arc::new(Scheduler::new(VerdictStore::in_memory(), 1));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&sched)).expect("bind");
+    let addr = server.local_addr();
+    for bytes in [
+        &b"classify \xff\n"[..],
+        &b"classify\nname \xc3\x28\nend\n"[..],
+    ] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(bytes).expect("send request");
+        let mut status = String::new();
+        BufReader::new(stream)
+            .read_line(&mut status)
+            .expect("read the answer");
+        assert_eq!(status.trim_end(), "err request is not UTF-8", "{bytes:?}");
+    }
+    assert_eq!(ping(addr), "ok pong", "daemon still up");
 }
 
 /// Hostile exit fields — the reserved exit id, an AS-PATH length of four

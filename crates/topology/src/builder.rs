@@ -82,7 +82,8 @@ impl TopologyBuilder {
     /// [`Self::rr_client`] switches the logical graph to explicit mode
     /// ([`IbgpTopology::explicit`]); declared clusters are then ignored.
     pub fn peer(mut self, u: u32, v: u32) -> Self {
-        self.explicit_peers.push((RouterId::new(u), RouterId::new(v)));
+        self.explicit_peers
+            .push((RouterId::new(u), RouterId::new(v)));
         self
     }
 

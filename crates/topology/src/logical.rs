@@ -551,10 +551,7 @@ mod tests {
     fn explicit_rejects_bad_edges() {
         assert_eq!(
             IbgpTopology::explicit(2, vec![(r(0), r(2))], vec![]).unwrap_err(),
-            TopologyError::NodeOutOfRange {
-                node: r(2),
-                len: 2
-            }
+            TopologyError::NodeOutOfRange { node: r(2), len: 2 }
         );
         assert_eq!(
             IbgpTopology::explicit(2, vec![], vec![(r(1), r(1))]).unwrap_err(),

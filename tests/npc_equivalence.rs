@@ -67,8 +67,16 @@ fn unsat_reduction_cycles_under_unbiased_fair_schedules_too() {
 
 #[test]
 fn reduction_size_is_linear_in_formula_size() {
-    for (v, c) in [(3usize, 3usize), (6, 12), (10, 30)] {
-        let formula = Formula::random(1, v, c);
+    for (seed, v, c) in [
+        (1, 3usize, 3usize),
+        (1, 6, 12),
+        (1, 10, 30),
+        (42, 3, 4),
+        (42, 6, 10),
+        (42, 12, 24),
+        (42, 24, 48),
+    ] {
+        let formula = Formula::random(seed, v, c);
         let sr = reduce(&formula);
         assert_eq!(sr.node_count(), 1 + 4 * v + 5 * c);
         assert_eq!(sr.exits.len(), 2 * v + 3 * c);
