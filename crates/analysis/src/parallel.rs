@@ -6,36 +6,51 @@
 //! *bookkeeping* (dedup, the state cap, stable-vector collection) is
 //! order-sensitive. This module splits the two:
 //!
-//! * **Chunks.** Each BFS level is taken in chunks of [`CHUNK_LEN`]
-//!   frontier states — a constant, never a function of `jobs`. A chunk
-//!   is expanded against the visited set *as it stands at the chunk's
+//! * **Chunks.** Each BFS level is a queue of chunk buffers, each holding
+//!   at most [`CHUNK_LEN`] frontier keys back to back with their end
+//!   offsets — a constant, never a function of `jobs`. A chunk is
+//!   expanded against the visited set *as it stands at the chunk's
 //!   start*, then merged before the next chunk starts. A search whose
 //!   cap (or byte budget, or deadline) fires partway through a level
 //!   stops expanding at that chunk, and no level's successors are ever
-//!   held in memory all at once.
+//!   held in memory all at once. Spent chunk buffers are reused for the
+//!   next level's keys, so a search allocates per buffer, never per key.
 //! * **Workers** expand a chunk in parallel, in *batches* of frontier
 //!   states. Each worker owns a private engine from the [`Scheme`] and
-//!   reports, per state, either its stable best-exit vector or its
-//!   successors, pre-filtered against the *frozen* visited set — a
-//!   read-only, order-independent test.
-//! * **The coordinator** merges each chunk's unit outcomes *sequentially
+//!   reports, per state, either its stable best-exit vector or how many
+//!   fresh successors it wrote into the batch's one buffer: keys packed
+//!   back to back, each with its digest (computed once), orbit size and,
+//!   under symmetry, the raw successor. A successor is fresh if it
+//!   survives two read-only, order-independent tests: the *frozen*
+//!   visited set does not hold it, and no earlier successor of the same
+//!   batch has equal words (duplicates are dropped on the worker, before
+//!   they reach the merge). Branches whose successor is known without
+//!   building it are accounted but not built: the singleton of a router
+//!   that its plan leaves unchanged (the state itself, already visited),
+//!   and the full set when exactly one router is enabled (that router's
+//!   singleton, one branch earlier).
+//! * **The coordinator** merges each chunk's batch buffers *sequentially
 //!   in canonical order* (frontier index, then branch index): dedup,
 //!   state counting, the cap and byte-budget checks, and stable-vector
 //!   collection all happen here, in exactly the order the
 //!   single-threaded whole-level explorer would perform them. The
-//!   pre-filter can only drop successors the merge would reject anyway
-//!   (the visited set only grows), so `states`, the stop reason, the
-//!   stable vectors, the frontier depth and the peak queue are the same
-//!   at every chunk length and every `jobs` value. The coordinator's
-//!   wall clock splits into waiting for expansions
-//!   ([`Metrics::expand_nanos`]) and merging ([`Metrics::merge_nanos`]).
+//!   pre-filter, the batch dedup and the skipped branches can only drop
+//!   successors the merge would reject anyway (the visited set only
+//!   grows), so `states`, the stop reason, the stable vectors, the
+//!   frontier depth and the peak queue are the same at every chunk
+//!   length and every `jobs` value. The coordinator's wall clock splits
+//!   into waiting for expansions ([`Metrics::expand_nanos`]) and merging
+//!   ([`Metrics::merge_nanos`]).
 //!
-//! **No locks on the hot path.** The visited set is a plain (unlocked)
-//! striped table owned behind an [`Arc`]. While a chunk runs, workers
-//! hold shared clones of that `Arc` — shipped to them inside each work
-//! batch and shipped back with the results — and only *read*. Between
-//! chunks every clone has been returned, so the coordinator reclaims
-//! unique ownership ([`Arc::get_mut`]) and inserts sequentially. The only
+//! **No locks on the hot path.** The visited set and the chunk being
+//! expanded sit in one plain (unlocked) [`Frozen`] owned behind an
+//! [`Arc`]. While a chunk runs, workers hold shared clones of that `Arc`
+//! — shipped to them inside each work batch and shipped back with the
+//! results — and only *read*. Between chunks every clone has been
+//! returned, so the coordinator reclaims unique ownership
+//! ([`Arc::get_mut`]), inserts sequentially and swaps in the next chunk.
+//! Batch buffers travel the same way: out empty with the batch, back
+//! filled with its results, and into a pool once merged. The only
 //! synchronization anywhere is the message channels themselves (plus a
 //! `Mutex` around the shared work-queue receiver, held just long enough
 //! to pop a batch). Nothing ever blocks a worker mid-expansion.
@@ -49,40 +64,41 @@
 //! are, sweep keys in their self-delimiting per-router encoding.
 //!
 //! The skeleton knows no engine: the [`Scheme`] trait supplies the
-//! per-worker engine, the frontier state, and the visited key. Two
-//! schemes drive the same search skeleton:
+//! per-worker engine, the initial state, and the expansion of one
+//! frontier key into a batch buffer. Two schemes drive the same search
+//! skeleton:
 //!
 //! * [`FlatScheme`] (every reflection search without loop prevention):
 //!   states are fixed-width `u32` blocks per router encoding (possible,
 //!   advertised, best) as bitmasks over the injected exit-path table
-//!   (see [`ibgp_sim::flat`]). The frontier holds those words and
-//!   nothing else; a worker's [`FlatEngine`] plans every router's next
-//!   block from a state's key (memoized on the router's peers'
-//!   advertised masks) and writes each branch successor into a scratch
-//!   buffer. Only successors that survive the visited pre-filter are
-//!   copied out, and the coordinator moves an admitted one straight into
-//!   the next frontier. Symmetry acts directly on the words via
-//!   [`FlatAction`]: the frontier keeps the raw successor, the visited
-//!   set its canonical image.
+//!   (see [`ibgp_sim::flat`]). A worker's [`FlatEngine`] plans every
+//!   router's next block from a state's key (memoized on the router's
+//!   peers' advertised masks) and writes each branch successor into a
+//!   scratch buffer. Only successors that survive the pre-filter and the
+//!   batch dedup are copied into the batch buffer, and the coordinator
+//!   copies an admitted one into the next level's chunk buffer. Symmetry
+//!   acts directly on the words via [`FlatAction`]: the frontier keeps
+//!   the raw successor, the visited set its canonical image.
 //! * [`SweepScheme`]: any [`SweepEngine`] — the confederation and
 //!   hierarchy engines, and [`LpEngine`] for reflection searches under
 //!   loop prevention — in the shape of [`FlatScheme`]. States are the
-//!   engine's words, one self-delimiting span per router, and the
-//!   frontier holds those words and nothing else. A worker's
+//!   engine's words, one self-delimiting span per router. A worker's
 //!   [`SweepPlanner`] plans every router's next span from a state's key
 //!   (memoized on the spans of the routers its update reads) and splices
 //!   each branch successor from current and planned spans into a scratch
-//!   buffer; only successors that survive the visited pre-filter are
-//!   copied out, and an admitted one moves into the next frontier. These
+//!   buffer, which the batch buffer copies only if it is fresh. These
 //!   engines have no automorphism action and no ample-set proof, so the
 //!   sweep search declines symmetry and POR.
 //!
 //! Determinism: a state's outcome is a pure function of its key and the
-//! visited set at its chunk's start, so the merged view is bit-identical
-//! for every `jobs` value, including the in-thread `jobs = 1` path. Only
-//! the per-worker memo split (cache hit/miss counts) varies with
-//! scheduling. Engine counters count expanded states only: a capped
-//! search reports the work of the chunks it expanded.
+//! visited set at its chunk's start, and which of its successors the
+//! batch dedup drops only decides what the merge would have found
+//! `Seen`, so the merged view is bit-identical for every `jobs` value,
+//! including the in-thread `jobs = 1` path (whose dedup window is the
+//! whole chunk). Only the per-worker memo split (cache hit/miss counts)
+//! varies with scheduling. Engine counters count expanded states only,
+//! skipped branches included: a capped search reports the work of the
+//! chunks it expanded.
 //!
 //! **Symmetry reduction** ([`ExploreOptions::symmetry`]): each successor
 //! key is canonicalized under the instance's automorphism group (see
@@ -94,6 +110,7 @@
 //! `crate::symmetry`), the whole search deterministically restarts with
 //! symmetry off. The guard sees the expanded chunks only, so a capped
 //! search that stops before reaching a tripping state keeps its group.
+//! A skipped branch repeats raw words the guard has already passed.
 //!
 //! **Partial-order reduction** ([`ExploreOptions::por`]): before
 //! expanding a state's branches, each worker asks the engine for the
@@ -107,6 +124,7 @@
 //! so verdicts stay bit-identical across `jobs`, and it is
 //! automorphism-equivariant, so it composes with symmetry reduction
 //! (and with the guard's symmetry-free restart, which keeps POR on).
+//! The ample branch is always built; only full expansions skip.
 //!
 //! **Memory bounding** ([`ExploreOptions::max_bytes`]): the coordinator
 //! accounts an estimated byte footprint for every inserted key. On the
@@ -126,6 +144,7 @@ use ibgp_sim::{
 };
 use ibgp_topology::Topology;
 use ibgp_types::{ExitPathId, ExitPathRef, RouterId, StopReason};
+use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -135,7 +154,7 @@ use std::time::{Duration, Instant};
 const SHARD_COUNT: usize = 64;
 
 /// Accounted bytes per exact entry beyond the key payload (digest,
-/// bucket bookkeeping). An estimate, like [`FlatKey::approx_bytes`].
+/// bucket bookkeeping). An estimate, like [`key_bytes`].
 const ENTRY_OVERHEAD: usize = 48;
 
 /// Accounted bytes per digest-only entry after compaction.
@@ -164,6 +183,13 @@ const DIGEST_ONLY: u64 = 0;
 /// digest's stripe-internal bits over the slot index.
 const SLOT_SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// Accounted bytes of a visited key of `words` words: what a [`FlatKey`]
+/// holding it takes, the struct plus the word payload. An estimate, the
+/// same for every scheme and schedule.
+fn key_bytes(words: usize) -> usize {
+    std::mem::size_of::<FlatKey>() + words * std::mem::size_of::<u32>()
+}
+
 /// A key as the visited set sees it: a digest for striping and probing,
 /// the words that decide equality, and the bytes the memory budget
 /// charges for it.
@@ -171,16 +197,6 @@ struct Probe<'k> {
     digest: u64,
     words: &'k [u32],
     bytes: usize,
-}
-
-impl<'k> From<&'k FlatKey> for Probe<'k> {
-    fn from(key: &'k FlatKey) -> Self {
-        Probe {
-            digest: key.digest(),
-            words: key.words(),
-            bytes: key.approx_bytes(),
-        }
-    }
 }
 
 /// Key storage: fixed-size pages, each key stored as its length word
@@ -229,7 +245,8 @@ const VACANT: Slot = Slot {
 };
 
 /// One stripe: linear-probing slots, at most three quarters full,
-/// doubled on its own when an insert would pass that.
+/// doubled on its own when an insert would pass that. A batch buffer's
+/// dedup index is a stripe too, locating its own keys.
 struct Stripe {
     slots: Vec<Slot>,
     len: usize,
@@ -241,6 +258,12 @@ impl Stripe {
             slots: vec![VACANT; STRIPE_SLOTS],
             len: 0,
         }
+    }
+
+    /// Empty every slot, keeping the capacity.
+    fn clear(&mut self) {
+        self.slots.fill(VACANT);
+        self.len = 0;
     }
 
     fn home(&self, digest: u64) -> usize {
@@ -290,6 +313,12 @@ impl Stripe {
         }
         self.slots[vacant] = slot;
         self.len += 1;
+    }
+}
+
+impl Default for Stripe {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -361,7 +390,7 @@ impl Visited {
     fn compact(&mut self) -> usize {
         let mut total = 0usize;
         for stripe in &mut self.stripes {
-            let old = std::mem::replace(stripe, Stripe::new());
+            let old = std::mem::take(stripe);
             for slot in old.slots.into_iter().filter(|s| s.at != EMPTY) {
                 if let Err((vacant, _)) = stripe.probe(slot.digest, |_| true) {
                     stripe.place(
@@ -386,17 +415,45 @@ impl Visited {
     }
 }
 
+/// Keys laid back to back, key `i` ending at `ends[i]`: a chunk of
+/// frontier states, or the fresh successors of one batch. The end
+/// offsets cover fixed-width flat keys and variable-length sweep keys
+/// alike. Buffers are cleared and reused, never freed mid-search.
+#[derive(Default)]
+struct Packed {
+    words: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl Packed {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, i: usize) -> &[u32] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.words[start..self.ends[i]]
+    }
+
+    fn push(&mut self, key: &[u32]) {
+        self.words.extend_from_slice(key);
+        self.ends.push(self.words.len());
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        self.ends.clear();
+    }
+}
+
 /// What one frontier state turned out to be.
-enum UnitOutcome<F> {
+enum UnitOutcome {
     /// A fixed point, with its best-exit vector.
     Stable(Vec<Option<ExitPathId>>),
-    /// Not stable: the branch successors not already visited when the
-    /// chunk started, in branch order.
+    /// Not stable: it wrote `fresh` successors into its batch buffer,
+    /// after those of the batch's earlier units.
     Expanded {
-        fresh: Vec<F>,
-        /// A successor tripped the tie-soundness guard: the whole search
-        /// must restart without symmetry.
-        unsound: bool,
+        fresh: usize,
         /// The state was expanded through the single compound ample
         /// branch of the partial-order reduction (false for full
         /// expansion — including every expansion when POR is off).
@@ -404,9 +461,84 @@ enum UnitOutcome<F> {
     },
 }
 
-/// A frontier state: the words of its key (before canonicalization,
-/// under symmetry).
-type Words = Box<[u32]>;
+/// The tie-soundness guard tripped.
+struct Unsound;
+
+/// One batch's expansion, written by a worker and read by the merge:
+/// each unit's outcome in unit order, and the fresh successors of all
+/// its units in (unit, branch) order — the visited keys with their
+/// digests and orbit sizes, and under symmetry the raw successors the
+/// next frontier expands. A successor whose words equal an earlier fresh
+/// one of the same batch never enters: the merge would find it `Seen`.
+#[derive(Default)]
+struct Expansion {
+    outcomes: Vec<UnitOutcome>,
+    /// A unit tripped the tie-soundness guard: the whole search must
+    /// restart without symmetry, and the batch stopped there.
+    unsound: bool,
+    keys: Packed,
+    digests: Vec<u64>,
+    orbits: Vec<u64>,
+    /// Empty without symmetry, where the key is the frontier state.
+    raw: Packed,
+    /// The batch dedup: each fresh key's index in `keys`, by digest.
+    index: Stripe,
+}
+
+impl Expansion {
+    fn clear(&mut self) {
+        self.outcomes.clear();
+        self.unsound = false;
+        self.keys.clear();
+        self.digests.clear();
+        self.orbits.clear();
+        self.raw.clear();
+        self.index.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Add a successor that `visited` does not hold, unless an earlier
+    /// one of this batch has the same words. Equality is exact: keys
+    /// that only share a digest are both kept.
+    fn push(&mut self, digest: u64, key: &[u32], raw: Option<&[u32]>, orbit: u64) {
+        let keys = &self.keys;
+        let Err((vacant, _)) = self.index.probe(digest, |at| keys.get(at as usize) == key) else {
+            return;
+        };
+        let at = self.keys.len() as u64;
+        self.index.place(vacant, Slot { digest, at });
+        self.keys.push(key);
+        self.digests.push(digest);
+        self.orbits.push(orbit);
+        if let Some(raw) = raw {
+            self.raw.push(raw);
+        }
+    }
+
+    /// Fresh successor `i` as the visited set probes it, and its orbit
+    /// size.
+    fn fresh(&self, i: usize) -> (Probe<'_>, u64) {
+        let words = self.keys.get(i);
+        let probe = Probe {
+            digest: self.digests[i],
+            words,
+            bytes: key_bytes(words.len()),
+        };
+        (probe, self.orbits[i])
+    }
+
+    /// The words the next frontier expands for fresh successor `i`.
+    fn frontier_key(&self, i: usize) -> &[u32] {
+        if self.raw.len() == 0 {
+            self.keys.get(i)
+        } else {
+            self.raw.get(i)
+        }
+    }
+}
 
 /// One search strategy: the engine that expands states and the visited
 /// key. Shared (`&self`) across worker threads; all mutable engine
@@ -414,32 +546,25 @@ type Words = Box<[u32]>;
 trait Scheme: Sync {
     /// A worker's private expansion engine.
     type Engine;
-    /// A successor that survived the visited pre-filter.
-    type Fresh: Send;
 
     /// A fresh engine, ready to expand. Called once for the coordinator
     /// and once per worker.
     fn engine(&self) -> Self::Engine;
 
-    /// The initial state, or `None` if it already trips the
-    /// tie-soundness guard.
-    fn initial(&self, engine: &mut Self::Engine) -> Option<Self::Fresh>;
+    /// Write the initial state into `out` as its one fresh successor, or
+    /// report that it already trips the tie-soundness guard.
+    fn initial(&self, engine: &mut Self::Engine, out: &mut Expansion) -> Result<(), Unsound>;
 
-    /// Expand one frontier state.
+    /// Expand one frontier state, writing its fresh successors into
+    /// `out`.
     fn expand_unit(
         &self,
         engine: &mut Self::Engine,
         key: &[u32],
         branches: &[Vec<RouterId>],
         visited: &Visited,
-    ) -> UnitOutcome<Self::Fresh>;
-
-    /// The visited-set key of a fresh successor, and its orbit size (1
-    /// without symmetry).
-    fn key<'f>(&self, fresh: &'f Self::Fresh) -> (Probe<'f>, u64);
-
-    /// What the next frontier keeps of an admitted successor.
-    fn admit(&self, fresh: Self::Fresh) -> Words;
+        out: &mut Expansion,
+    ) -> Result<UnitOutcome, Unsound>;
 
     /// All images of a stable best-exit vector under the group (just the
     /// vector itself without symmetry).
@@ -454,29 +579,22 @@ trait Scheme: Sync {
     }
 }
 
-/// The ample branch when POR applies, the full branch set otherwise.
-fn chosen<'b>(
-    ample: Option<Vec<RouterId>>,
-    storage: &'b mut Vec<Vec<RouterId>>,
-    branches: &'b [Vec<RouterId>],
-) -> &'b [Vec<RouterId>] {
-    match ample {
-        Some(set) => {
-            storage.push(set);
-            storage
-        }
-        None => branches,
-    }
-}
-
-/// The outcome of a unit abandoned because a successor tripped the
-/// tie-soundness guard (the chunk is discarded wholesale; no point
-/// finishing this unit).
-fn unsound<F>() -> UnitOutcome<F> {
-    UnitOutcome::Expanded {
-        fresh: Vec::new(),
-        unsound: true,
-        ample: false,
+/// Whether branch `b` of [`branch_sets`] over `routers` routers needs
+/// no successor built, because its successor is known: the singleton of
+/// a router that is not `enabled` is the frontier state itself, which is
+/// visited (under symmetry, its canonical image is) and whose raw words
+/// the guard has passed; the full set when exactly one router is
+/// enabled is that router's singleton, which comes one branch earlier.
+/// The merge would find either one `Seen`. For one router the two
+/// branches are the same set, and the singleton is the one built.
+fn repeats(b: usize, routers: usize, enabled: impl Fn(RouterId) -> bool) -> bool {
+    if b < routers {
+        !enabled(RouterId::new(b as u32))
+    } else {
+        (0..routers as u32)
+            .filter(|&u| enabled(RouterId::new(u)))
+            .count()
+            == 1
     }
 }
 
@@ -501,18 +619,6 @@ struct FlatWorker<'a> {
     image: Vec<u32>,
 }
 
-/// A flat successor that survived the pre-filter: the key the visited
-/// set holds (canonical under symmetry) and, when symmetry moved it, the
-/// raw successor the next frontier expands.
-struct FlatFresh {
-    key: FlatKey,
-    raw: Option<Words>,
-    orbit: u64,
-}
-
-/// The tie-soundness guard tripped.
-struct Unsound;
-
 impl<'a> FlatScheme<'a> {
     /// The simulation engine at `config(0)`, which every worker's
     /// [`FlatEngine`] is built from.
@@ -521,37 +627,34 @@ impl<'a> FlatScheme<'a> {
     }
 
     /// Key the successor in `w.succ`: canonicalize it under the group,
-    /// drop it if `visited` already holds it, and only then copy it out
-    /// of the scratch buffers.
+    /// hash it once, and copy it into `out` unless `visited` (or `out`)
+    /// already holds it.
     fn keep(
         &self,
         w: &mut FlatWorker,
         visited: Option<&Visited>,
-    ) -> Result<Option<FlatFresh>, Unsound> {
-        let (words, orbit) = match &self.action {
-            None => (&w.succ, 1),
+        out: &mut Expansion,
+    ) -> Result<(), Unsound> {
+        let (words, raw, orbit) = match &self.action {
+            None => (&w.succ, None, 1),
             Some(action) => {
                 if action.guard_trips(&w.succ) {
                     return Err(Unsound);
                 }
                 let orbit = action.canonical_into(&w.succ, &mut w.canon, &mut w.image);
-                (&w.canon, orbit)
+                (&w.canon, Some(w.succ.as_slice()), orbit)
             }
         };
-        if visited.is_some_and(|v| v.contains(hash_words(words), words)) {
-            return Ok(None);
+        let digest = hash_words(words);
+        if !visited.is_some_and(|v| v.contains(digest, words)) {
+            out.push(digest, words, raw, orbit);
         }
-        Ok(Some(FlatFresh {
-            key: FlatKey::new(words.as_slice().into()),
-            raw: self.action.is_some().then(|| w.succ.as_slice().into()),
-            orbit,
-        }))
+        Ok(())
     }
 }
 
 impl<'a> Scheme for FlatScheme<'a> {
     type Engine = FlatWorker<'a>;
-    type Fresh = FlatFresh;
 
     fn engine(&self) -> FlatWorker<'a> {
         FlatWorker {
@@ -562,10 +665,10 @@ impl<'a> Scheme for FlatScheme<'a> {
         }
     }
 
-    fn initial(&self, w: &mut FlatWorker<'a>) -> Option<FlatFresh> {
+    fn initial(&self, w: &mut FlatWorker<'a>, out: &mut Expansion) -> Result<(), Unsound> {
         let key = self.codec.encode_key(&self.start().state_key(0));
         w.succ.copy_from_slice(key.words());
-        self.keep(w, None).ok().flatten()
+        self.keep(w, None, out)
     }
 
     fn expand_unit(
@@ -574,39 +677,36 @@ impl<'a> Scheme for FlatScheme<'a> {
         key: &[u32],
         branches: &[Vec<RouterId>],
         visited: &Visited,
-    ) -> UnitOutcome<FlatFresh> {
+        out: &mut Expansion,
+    ) -> Result<UnitOutcome, Unsound> {
         if w.engine.plan(key) {
-            return UnitOutcome::Stable(w.engine.best_vector());
+            return Ok(UnitOutcome::Stable(w.engine.best_vector()));
         }
+        let before = out.len();
         // POR: one compound ample branch when the engine can prove the
         // commutation precondition, the full branch set otherwise. The
         // choice is a pure function of the key, so verdicts stay
         // bit-identical at every `jobs` value.
         let ample = if self.por { w.engine.ample_set() } else { None };
         let reduced = ample.is_some();
-        let mut storage = Vec::new();
-        let mut fresh = Vec::new();
-        for branch in chosen(ample, &mut storage, branches) {
-            w.engine.successor_into(branch, &mut w.succ);
-            match self.keep(w, Some(visited)) {
-                Ok(Some(f)) => fresh.push(f),
-                Ok(None) => {}
-                Err(Unsound) => return unsound(),
+        if let Some(set) = ample {
+            w.engine.successor_into(&set, &mut w.succ);
+            self.keep(w, Some(visited), out)?;
+        } else {
+            let routers = branches.len() - 1;
+            for (b, branch) in branches.iter().enumerate() {
+                if repeats(b, routers, |u| w.engine.enabled(u)) {
+                    w.engine.account(branch);
+                    continue;
+                }
+                w.engine.successor_into(branch, &mut w.succ);
+                self.keep(w, Some(visited), out)?;
             }
         }
-        UnitOutcome::Expanded {
-            fresh,
-            unsound: false,
+        Ok(UnitOutcome::Expanded {
+            fresh: out.len() - before,
             ample: reduced,
-        }
-    }
-
-    fn key<'f>(&self, fresh: &'f FlatFresh) -> (Probe<'f>, u64) {
-        (Probe::from(&fresh.key), fresh.orbit)
-    }
-
-    fn admit(&self, fresh: FlatFresh) -> Words {
-        fresh.raw.unwrap_or_else(|| fresh.key.into_words())
+        })
     }
 
     fn vector_orbit(&self, bv: &[Option<ExitPathId>]) -> Vec<Vec<Option<ExitPathId>>> {
@@ -637,7 +737,6 @@ struct SweepWorker<'e, E> {
 
 impl<'e, E: SweepEngine + Sync> Scheme for SweepScheme<'e, E> {
     type Engine = SweepWorker<'e, E>;
-    type Fresh = FlatKey;
 
     fn engine(&self) -> SweepWorker<'e, E> {
         SweepWorker {
@@ -646,8 +745,14 @@ impl<'e, E: SweepEngine + Sync> Scheme for SweepScheme<'e, E> {
         }
     }
 
-    fn initial(&self, _worker: &mut SweepWorker<'e, E>) -> Option<FlatKey> {
-        Some(FlatKey::new(self.engine.words().into()))
+    fn initial(
+        &self,
+        _worker: &mut SweepWorker<'e, E>,
+        out: &mut Expansion,
+    ) -> Result<(), Unsound> {
+        let words = self.engine.words();
+        out.push(hash_words(words), words, None, 1);
+        Ok(())
     }
 
     fn expand_unit(
@@ -656,31 +761,29 @@ impl<'e, E: SweepEngine + Sync> Scheme for SweepScheme<'e, E> {
         key: &[u32],
         branches: &[Vec<RouterId>],
         visited: &Visited,
-    ) -> UnitOutcome<FlatKey> {
+        out: &mut Expansion,
+    ) -> Result<UnitOutcome, Unsound> {
         // One plan serves the fixed-point test and every branch.
         if w.planner.plan(key) {
-            return UnitOutcome::Stable(w.planner.best_vector());
+            return Ok(UnitOutcome::Stable(w.planner.best_vector()));
         }
-        let mut fresh = Vec::new();
-        for branch in branches {
+        let before = out.len();
+        let routers = branches.len() - 1;
+        for (b, branch) in branches.iter().enumerate() {
+            if repeats(b, routers, |u| w.planner.enabled(u)) {
+                w.planner.account(branch);
+                continue;
+            }
             w.planner.successor_into(branch, &mut w.succ);
-            if !visited.contains(hash_words(&w.succ), &w.succ) {
-                fresh.push(FlatKey::new(w.succ.as_slice().into()));
+            let digest = hash_words(&w.succ);
+            if !visited.contains(digest, &w.succ) {
+                out.push(digest, &w.succ, None, 1);
             }
         }
-        UnitOutcome::Expanded {
-            fresh,
-            unsound: false,
+        Ok(UnitOutcome::Expanded {
+            fresh: out.len() - before,
             ample: false,
-        }
-    }
-
-    fn key<'f>(&self, fresh: &'f FlatKey) -> (Probe<'f>, u64) {
-        (Probe::from(fresh), 1)
-    }
-
-    fn admit(&self, fresh: FlatKey) -> Words {
-        fresh.into_words()
+        })
     }
 
     fn metrics(&self, w: &SweepWorker<'e, E>) -> Metrics {
@@ -688,27 +791,59 @@ impl<'e, E: SweepEngine + Sync> Scheme for SweepScheme<'e, E> {
     }
 }
 
-/// One worker handoff: a slice of a chunk plus a shared handle on the
-/// frozen visited set (returned with the results so the coordinator can
-/// reclaim unique ownership between chunks).
+/// What workers read while a chunk expands: the visited set as it stood
+/// at the chunk's start, and the chunk's frontier keys. Shared behind an
+/// [`Arc`] while the chunk runs, owned by the coordinator between chunks.
+struct Frozen {
+    visited: Visited,
+    chunk: Packed,
+}
+
+/// One worker handoff: a range of the chunk's units, a shared handle on
+/// the [`Frozen`] chunk and visited set, and an empty buffer to expand
+/// into (the handle comes back with the filled buffer, so the
+/// coordinator can reclaim unique ownership between chunks).
 struct Batch {
-    /// Index of `units[0]` within the chunk.
-    base: usize,
-    units: Vec<Words>,
-    visited: Arc<Visited>,
+    /// Position of this batch within the chunk.
+    seq: usize,
+    units: Range<usize>,
+    frozen: Arc<Frozen>,
+    out: Expansion,
 }
 
 /// Messages from workers to the coordinator.
-enum WorkerMsg<F> {
-    /// Outcomes of one batch, in unit order, plus the returned visited
-    /// handle.
+enum WorkerMsg {
+    /// One expanded batch, plus the returned shared handle.
     Batch {
-        base: usize,
-        outcomes: Vec<UnitOutcome<F>>,
-        visited: Arc<Visited>,
+        seq: usize,
+        out: Expansion,
+        frozen: Arc<Frozen>,
     },
     /// Final engine counters, sent once when the worker shuts down.
     Done(Metrics),
+}
+
+/// Expand the frontier states `units` of `frozen`'s chunk into `out`, in
+/// unit order, stopping at a unit that trips the tie-soundness guard.
+fn expand_batch<S: Scheme>(
+    scheme: &S,
+    engine: &mut S::Engine,
+    frozen: &Frozen,
+    units: Range<usize>,
+    branches: &[Vec<RouterId>],
+    out: &mut Expansion,
+) {
+    out.clear();
+    for i in units {
+        let key = frozen.chunk.get(i);
+        match scheme.expand_unit(engine, key, branches, &frozen.visited, out) {
+            Ok(outcome) => out.outcomes.push(outcome),
+            Err(Unsound) => {
+                out.unsound = true;
+                return;
+            }
+        }
+    }
 }
 
 /// Order-sensitive search bookkeeping, owned by the coordinator.
@@ -759,45 +894,69 @@ fn nanos(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Reclaim unique ownership of the visited set between chunks. Panics if
-/// any worker still holds a clone — which would be a protocol bug, since
-/// every batch handle is shipped back with its results.
-fn owned(v: &mut Arc<Visited>) -> &mut Visited {
+/// Reclaim unique ownership of the visited set and the chunk between
+/// chunks. Panics if any worker still holds a clone — which would be a
+/// protocol bug, since every batch handle is shipped back with its
+/// results.
+fn owned(v: &mut Arc<Frozen>) -> &mut Frozen {
     Arc::get_mut(v).expect("chunk over: all clones returned")
 }
 
-/// Merge one chunk's outcomes in canonical (unit, branch) order: dedup
+/// The next BFS level as the merge builds it: chunk buffers of at most
+/// `chunk_len` keys each, taken from the spent ones when there are any.
+#[derive(Default)]
+struct Level {
+    chunks: Vec<Packed>,
+    len: usize,
+}
+
+impl Level {
+    fn push(&mut self, key: &[u32], chunk_len: usize, spare: &mut Vec<Packed>) {
+        if self.chunks.last().is_none_or(|c| c.len() >= chunk_len) {
+            self.chunks.push(spare.pop().unwrap_or_default());
+        }
+        let last = self.chunks.len() - 1;
+        self.chunks[last].push(key);
+        self.len += 1;
+    }
+}
+
+/// Merge one batch's outcomes in canonical (unit, branch) order: dedup
 /// into the visited set, count states, check the cap and the byte
-/// budget, collect stable vectors, and queue admitted successors for
-/// the next level. Returns whether a budget stopped the search.
+/// budget, collect stable vectors, and hand each admitted successor's
+/// frontier words to `admit`. Returns whether a budget stopped the
+/// search.
 fn merge<S: Scheme>(
     scheme: &S,
     p: &mut Progress,
     visited: &mut Visited,
-    outcomes: Vec<UnitOutcome<S::Fresh>>,
-    next: &mut Vec<Words>,
+    batch: &Expansion,
     max_states: usize,
     max_bytes: Option<usize>,
+    mut admit: impl FnMut(&[u32]),
 ) -> bool {
-    for outcome in outcomes {
+    let mut end = 0;
+    for outcome in &batch.outcomes {
         match outcome {
             // Expand the representative's fixed point through the
             // group: the plain search would have found every image.
             UnitOutcome::Stable(bv) => {
-                for img in scheme.vector_orbit(&bv) {
+                for img in scheme.vector_orbit(bv) {
                     if !p.stable_vectors.contains(&img) {
                         p.stable_vectors.push(img);
                     }
                 }
             }
-            UnitOutcome::Expanded { fresh, ample, .. } => {
-                if ample {
+            UnitOutcome::Expanded { fresh, ample } => {
+                if *ample {
                     p.por_ample += 1;
                 } else {
                     p.por_full += 1;
                 }
-                for f in fresh {
-                    let (key, orbit) = scheme.key(&f);
+                let start = end;
+                end += fresh;
+                for i in start..end {
+                    let (key, orbit) = batch.fresh(i);
                     let Inserted::New { bytes, collision } = visited.insert(&key) else {
                         continue;
                     };
@@ -823,7 +982,7 @@ fn merge<S: Scheme>(
                             return true;
                         }
                     }
-                    next.push(scheme.admit(f));
+                    admit(batch.frontier_key(i));
                 }
             }
         }
@@ -831,24 +990,26 @@ fn merge<S: Scheme>(
     false
 }
 
-/// Run the level loop: take each frontier in chunks of `chunk_len`
-/// states, expand a chunk via `expand`, then [`merge`] its outcomes
-/// before the next chunk starts. The merge is the single place dedup,
-/// the state cap, the byte budget, and stable-vector discovery happen,
-/// which is what makes the result independent of how `expand` schedules
-/// the per-unit work — and, because the pre-filter only drops what the
-/// merge would reject, of `chunk_len` too.
+/// Run the level loop: take each level chunk by chunk, expand a chunk
+/// via `expand` into batch buffers (taken from the spent ones it is
+/// handed, when there are any), then [`merge`] them in order before the
+/// next chunk starts. The merge is the single place dedup, the state
+/// cap, the byte budget, and stable-vector discovery happen, which is
+/// what makes the result independent of how `expand` schedules the
+/// per-unit work — and, because the pre-filter, the batch dedup and the
+/// skipped branches only drop what the merge would reject, of
+/// `chunk_len` and the batch boundaries too.
 ///
-/// `expand` reads the visited set through the shared `Arc`; it must have
-/// dropped every clone by the time it returns, because the merge reclaims
-/// unique ownership to insert.
+/// `expand` reads the chunk and the visited set through the shared
+/// `Arc`; it must have dropped every clone by the time it returns,
+/// because the merge reclaims unique ownership to insert.
 fn drive<S: Scheme>(
     scheme: &S,
-    mut frontier: Vec<Words>,
-    visited: &mut Arc<Visited>,
+    first: Packed,
+    frozen: &mut Arc<Frozen>,
     start: DriveStart,
     chunk_len: usize,
-    mut expand: impl FnMut(Vec<Words>, &Arc<Visited>) -> Vec<UnitOutcome<S::Fresh>>,
+    mut expand: impl FnMut(&Arc<Frozen>, &mut Vec<Expansion>) -> Vec<Expansion>,
 ) -> Progress {
     assert!(chunk_len > 0, "chunks hold at least one state");
     let DriveStart {
@@ -880,7 +1041,7 @@ fn drive<S: Scheme>(
     // stops) immediately — deterministic, like every later breach.
     if let Some(budget) = max_bytes {
         if p.bytes > budget {
-            p.bytes = owned(visited).compact();
+            p.bytes = owned(frozen).visited.compact();
             p.compactions += 1;
             if p.bytes > budget {
                 p.stop = StopReason::MemoryBudget(budget);
@@ -888,15 +1049,13 @@ fn drive<S: Scheme>(
             }
         }
     }
+    let mut spare_chunks: Vec<Packed> = Vec::new();
+    let mut spare_batches: Vec<Expansion> = Vec::new();
+    let mut level = vec![first];
     let mut depth = 0u64;
-    'levels: while !frontier.is_empty() {
-        let mut next = Vec::new();
-        let mut pending = std::mem::take(&mut frontier).into_iter();
-        loop {
-            let chunk: Vec<Words> = pending.by_ref().take(chunk_len).collect();
-            if chunk.is_empty() {
-                break;
-            }
+    'levels: while !level.is_empty() {
+        let mut next = Level::default();
+        for chunk in level {
             // Deadline check before every chunk: the visited prefix is
             // always whole chunks in canonical order, and an
             // already-expired deadline stops before the first expansion,
@@ -906,40 +1065,48 @@ fn drive<S: Scheme>(
                 break 'levels;
             }
             p.units += chunk.len() as u64;
+            let mut spent = std::mem::replace(&mut owned(frozen).chunk, chunk);
+            spent.clear();
+            spare_chunks.push(spent);
             let expanding = Instant::now();
-            let outcomes = expand(chunk, visited);
+            let batches = expand(frozen, &mut spare_batches);
             let merging = Instant::now();
             p.expand_nanos += nanos(merging - expanding);
-            // Soundness scan first: whether any unit flagged is a pure
-            // function of the (deterministic) chunk contents, so the
-            // restart decision is schedule-independent.
-            if outcomes
-                .iter()
-                .any(|o| matches!(o, UnitOutcome::Expanded { unsound: true, .. }))
-            {
+            // Soundness scan first: whether any unit tripped the guard is
+            // a pure function of the (deterministic) chunk contents, so
+            // the restart decision is schedule-independent.
+            if batches.iter().any(|b| b.unsound) {
                 p.unsound = true;
                 break 'levels;
             }
-            let stopped = merge(
-                scheme,
-                &mut p,
-                owned(visited),
-                outcomes,
-                &mut next,
-                max_states,
-                max_bytes,
-            );
+            let visited = &mut owned(frozen).visited;
+            let mut stopped = false;
+            for batch in &batches {
+                stopped = merge(
+                    scheme,
+                    &mut p,
+                    visited,
+                    batch,
+                    max_states,
+                    max_bytes,
+                    |key| next.push(key, chunk_len, &mut spare_chunks),
+                );
+                if stopped {
+                    break;
+                }
+            }
+            spare_batches.extend(batches);
             p.merge_nanos += nanos(merging.elapsed());
             if stopped {
                 break 'levels;
             }
         }
-        if !next.is_empty() {
+        if next.len > 0 {
             depth += 1;
             p.frontier_depth = depth;
-            p.peak_queue = p.peak_queue.max(next.len() as u64);
+            p.peak_queue = p.peak_queue.max(next.len as u64);
         }
-        frontier = next;
+        level = next.chunks;
     }
     p
 }
@@ -962,35 +1129,42 @@ fn run_search<S: Scheme>(
     branches: &[Vec<RouterId>],
     chunk_len: usize,
 ) -> Option<Found> {
-    let mut visited = Arc::new(Visited::new());
+    let mut frozen = Arc::new(Frozen {
+        visited: Visited::new(),
+        chunk: Packed::default(),
+    });
     let mut engine = scheme.engine();
-    let init = scheme.initial(&mut engine)?;
-    let (key, init_orbit) = scheme.key(&init);
-    let init_bytes = match owned(&mut visited).insert(&key) {
+    let mut init = Expansion::default();
+    scheme.initial(&mut engine, &mut init).ok()?;
+    let (key, initial_orbit) = init.fresh(0);
+    let initial_bytes = match owned(&mut frozen).visited.insert(&key) {
         Inserted::New { bytes, .. } => bytes,
         Inserted::Seen => 0,
     };
-    let frontier = vec![scheme.admit(init)];
+    let mut first = Packed::default();
+    first.push(init.frontier_key(0));
     let start = DriveStart {
         max_states: options.max_states,
         max_bytes: options.max_bytes,
         deadline: options.deadline,
-        initial_bytes: init_bytes,
-        initial_orbit: init_orbit,
+        initial_bytes,
+        initial_orbit,
     };
 
     let (progress, engine_metrics) = if jobs <= 1 {
+        // In-thread: one buffer per chunk, so the batch dedup spans the
+        // whole chunk.
         let p = drive(
             scheme,
-            frontier,
-            &mut visited,
+            first,
+            &mut frozen,
             start,
             chunk_len,
-            |units, visited| {
-                units
-                    .iter()
-                    .map(|key| scheme.expand_unit(&mut engine, key, branches, visited))
-                    .collect()
+            |frozen, spare| {
+                let mut out = spare.pop().unwrap_or_default();
+                let units = 0..frozen.chunk.len();
+                expand_batch(scheme, &mut engine, frozen, units, branches, &mut out);
+                vec![out]
             },
         );
         (p, scheme.metrics(&engine))
@@ -998,7 +1172,7 @@ fn run_search<S: Scheme>(
         std::thread::scope(|scope| {
             let (work_tx, work_rx) = mpsc::channel::<Batch>();
             let work_rx = Arc::new(Mutex::new(work_rx));
-            let (res_tx, res_rx) = mpsc::channel::<WorkerMsg<S::Fresh>>();
+            let (res_tx, res_rx) = mpsc::channel::<WorkerMsg>();
             for _ in 0..jobs {
                 let work_rx = Arc::clone(&work_rx);
                 let res_tx = res_tx.clone();
@@ -1008,28 +1182,19 @@ fn run_search<S: Scheme>(
                         // Hold the receiver lock only for the handoff.
                         let batch = work_rx.lock().expect("work queue poisoned").recv();
                         let Ok(Batch {
-                            base,
+                            seq,
                             units,
-                            visited,
+                            frozen,
+                            mut out,
                         }) = batch
                         else {
                             break; // work channel closed: shut down
                         };
-                        let outcomes = units
-                            .iter()
-                            .map(|key| scheme.expand_unit(&mut engine, key, branches, &visited))
-                            .collect();
-                        // Ship the visited handle back with the results:
+                        expand_batch(scheme, &mut engine, &frozen, units, branches, &mut out);
+                        // Ship the shared handle back with the results:
                         // once the coordinator has drained the chunk, it
                         // holds the only reference again.
-                        if res_tx
-                            .send(WorkerMsg::Batch {
-                                base,
-                                outcomes,
-                                visited,
-                            })
-                            .is_err()
-                        {
+                        if res_tx.send(WorkerMsg::Batch { seq, out, frozen }).is_err() {
                             break;
                         }
                     }
@@ -1040,56 +1205,44 @@ fn run_search<S: Scheme>(
 
             let p = drive(
                 scheme,
-                frontier,
-                &mut visited,
+                first,
+                &mut frozen,
                 start,
                 chunk_len,
-                |units, visited| {
-                    let len = units.len();
+                |frozen, spare| {
+                    let len = frozen.chunk.len();
                     // Batches amortize the channel and queue-lock
                     // traffic; several batches per worker keep the chunk
                     // balanced when unit costs vary.
                     let batch_size = len.div_ceil(jobs * 4).clamp(1, MAX_BATCH);
-                    let mut units = units.into_iter();
-                    let mut base = 0usize;
-                    while base < len {
-                        let batch: Vec<Words> = units.by_ref().take(batch_size).collect();
-                        let sent = batch.len();
+                    let count = len.div_ceil(batch_size);
+                    for seq in 0..count {
                         work_tx
                             .send(Batch {
-                                base,
-                                units: batch,
-                                visited: Arc::clone(visited),
+                                seq,
+                                units: seq * batch_size..len.min((seq + 1) * batch_size),
+                                frozen: Arc::clone(frozen),
+                                out: spare.pop().unwrap_or_default(),
                             })
                             .expect("worker pool died");
-                        base += sent;
                     }
-                    let mut outcomes: Vec<Option<UnitOutcome<S::Fresh>>> =
-                        std::iter::repeat_with(|| None).take(len).collect();
-                    let mut received = 0usize;
-                    while received < len {
+                    let mut done: Vec<Option<Expansion>> =
+                        std::iter::repeat_with(|| None).take(count).collect();
+                    for _ in 0..count {
                         match res_rx.recv().expect("worker pool died") {
-                            WorkerMsg::Batch {
-                                base,
-                                outcomes: batch,
-                                visited,
-                            } => {
+                            WorkerMsg::Batch { seq, out, frozen } => {
                                 // Drop the returned handle immediately so
                                 // the merge's `Arc::get_mut` succeeds.
-                                drop(visited);
-                                received += batch.len();
-                                for (i, out) in batch.into_iter().enumerate() {
-                                    outcomes[base + i] = Some(out);
-                                }
+                                drop(frozen);
+                                done[seq] = Some(out);
                             }
                             WorkerMsg::Done(_) => {
                                 unreachable!("workers outlive the work channel")
                             }
                         }
                     }
-                    outcomes
-                        .into_iter()
-                        .map(|o| o.expect("every unit reports exactly once"))
+                    done.into_iter()
+                        .map(|o| o.expect("every batch reports exactly once"))
                         .collect()
                 },
             );
@@ -1111,7 +1264,7 @@ fn run_search<S: Scheme>(
     if progress.unsound {
         return None;
     }
-    let peak_shard = visited.peak_shard();
+    let peak_shard = frozen.visited.peak_shard();
     Some(Found {
         progress,
         engine_metrics,
@@ -1542,5 +1695,121 @@ mod tests {
         assert!(!v.contains(hash_words(&[1, 2, 3]), &[1, 2, 3]));
         let total: usize = v.stripes.iter().map(|s| s.len).sum();
         assert_eq!(total, keys.len() + 1);
+    }
+
+    /// Keys packed back to back stay distinct by their end offsets:
+    /// `[1,2]+[3]` never reads as `[1]+[2,3]`, in a chunk buffer or in a
+    /// batch buffer whose keys all share one digest.
+    #[test]
+    fn packed_buffers_keep_variable_length_keys_distinct() {
+        let keys: [&[u32]; 4] = [&[1, 2], &[3], &[1], &[2, 3]];
+        let mut chunk = Packed::default();
+        let mut batch = Expansion::default();
+        for key in keys {
+            chunk.push(key);
+            batch.push(5, key, None, 1);
+        }
+        assert_eq!(chunk.len(), 4);
+        assert_eq!(batch.len(), 4, "equal digests, different words");
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(chunk.get(i), *key);
+            assert_eq!(batch.frontier_key(i), *key);
+            let (probe, orbit) = batch.fresh(i);
+            assert_eq!(probe.words, *key);
+            assert_eq!(probe.bytes, key_bytes(key.len()));
+            assert_eq!(orbit, 1);
+        }
+    }
+
+    /// A cleared buffer reused for shorter or fewer keys shows only what
+    /// was written since, and the batch dedup forgets the earlier batch.
+    #[test]
+    fn recycled_buffers_never_show_a_stale_key() {
+        let mut spare = Vec::new();
+        let mut chunk = Packed::default();
+        for i in 0..10u32 {
+            chunk.push(&[i, i, i, i]);
+        }
+        chunk.clear();
+        spare.push(chunk);
+        let mut level = Level::default();
+        level.push(&[7], 2, &mut spare);
+        assert!(spare.is_empty(), "the spent buffer was reused");
+        assert_eq!(level.chunks[0].len(), 1);
+        assert_eq!(level.chunks[0].get(0), &[7]);
+        assert_eq!(level.chunks[0].words, [7]);
+
+        let mut batch = Expansion::default();
+        batch.outcomes.push(UnitOutcome::Stable(Vec::new()));
+        batch.unsound = true;
+        batch.push(hash_words(&[1, 2, 3]), &[1, 2, 3], Some(&[3, 2, 1]), 3);
+        batch.push(hash_words(&[4, 5, 6]), &[4, 5, 6], Some(&[6, 5, 4]), 3);
+        batch.clear();
+        assert!(batch.outcomes.is_empty() && !batch.unsound);
+        assert_eq!(batch.len(), 0);
+        batch.push(hash_words(&[4, 5]), &[4, 5], None, 1);
+        batch.push(hash_words(&[1, 2, 3]), &[1, 2, 3], None, 1);
+        assert_eq!(batch.len(), 2, "the cleared dedup index holds nothing");
+        assert_eq!(batch.frontier_key(0), &[4, 5], "no stale raw words");
+        assert_eq!(batch.frontier_key(1), &[1, 2, 3]);
+        assert_eq!(batch.fresh(1).0.digest, hash_words(&[1, 2, 3]));
+    }
+
+    /// The batch dedup keeps the first occurrence of a key in (unit,
+    /// branch) order — its raw words and orbit size too — exactly the
+    /// successor the merge would have admitted.
+    #[test]
+    fn batch_dedup_keeps_the_first_occurrence() {
+        let (a, b) = ([1u32, 1], [2u32, 2]);
+        let mut batch = Expansion::default();
+        batch.push(hash_words(&a), &a, Some(&[9, 1]), 3);
+        batch.push(hash_words(&b), &b, Some(&[9, 2]), 1);
+        batch.push(hash_words(&a), &a, Some(&[8, 1]), 3);
+        batch.push(hash_words(&b), &b, Some(&[8, 2]), 1);
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.fresh(0).0.words, a);
+        assert_eq!(batch.frontier_key(0), &[9, 1]);
+        assert_eq!(batch.fresh(0).1, 3);
+        assert_eq!(batch.fresh(1).0.words, b);
+        assert_eq!(batch.frontier_key(1), &[9, 2]);
+    }
+
+    /// Keys forced onto one digest are told apart by their words: the
+    /// dedup drops only exact repeats, across the index's growth.
+    #[test]
+    fn batch_dedup_keeps_keys_that_share_a_digest() {
+        let keys: Vec<[u32; 2]> = (0..40).map(|i| [i, i * 7]).collect();
+        let mut batch = Expansion::default();
+        for _ in 0..2 {
+            for k in &keys {
+                batch.push(7, k, None, 1);
+            }
+        }
+        assert_eq!(batch.len(), keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(batch.fresh(i).0.words, k);
+            assert_eq!(batch.fresh(i).0.digest, 7);
+        }
+    }
+
+    /// Which branches are accounted instead of built: a singleton whose
+    /// router is not enabled, and the full set when exactly one router
+    /// is. With one router the singleton is built and the full set is
+    /// not.
+    #[test]
+    fn redundant_branches_are_the_self_loops_and_a_lone_full_set() {
+        let pattern = |enabled: &[bool]| -> Vec<bool> {
+            let on = |u: RouterId| enabled[u.index()];
+            (0..=enabled.len())
+                .map(|b| repeats(b, enabled.len(), on))
+                .collect()
+        };
+        assert_eq!(pattern(&[true]), [false, true]);
+        assert_eq!(pattern(&[false, true]), [true, false, true]);
+        assert_eq!(pattern(&[true, true]), [false, false, false]);
+        assert_eq!(
+            pattern(&[true, false, true, false]),
+            [false, true, false, true, false]
+        );
     }
 }

@@ -69,3 +69,51 @@ proptest! {
         }
     }
 }
+
+/// One- and two-router instances, which the property test (2..=5
+/// routers) never draws at one. With one router the full set is that
+/// router's singleton, so the explorer builds the singleton and only
+/// accounts the full set; with two, a full set with one enabled router
+/// repeats that router's singleton. Every variant, loop prevention off
+/// (the flat scheme) and on (the sweep rule), one and eight workers.
+#[test]
+fn one_and_two_router_searches_match_the_reference_search() {
+    // Exits as (next AS, MED, exit point, cost), as `build_exits` takes
+    // them.
+    type Exits = &'static [(u32, u32, u32, u64)];
+    // (routers, session shape, exits).
+    let cases: [(usize, u8, Exits); 7] = [
+        (1, 0, &[(1, 0, 0, 0)]),
+        (1, 0, &[(1, 5, 0, 0), (1, 2, 0, 3)]),
+        (1, 1, &[(1, 5, 0, 2), (2, 0, 0, 1), (1, 1, 0, 0)]),
+        (2, 0, &[(1, 0, 0, 0), (1, 0, 1, 0)]),
+        (2, 0, &[(1, 3, 0, 1), (2, 0, 1, 0), (1, 1, 1, 2)]),
+        (2, 1, &[(1, 0, 1, 0), (1, 4, 0, 1)]),
+        (
+            2,
+            1,
+            &[(1, 2, 0, 0), (1, 0, 1, 1), (2, 5, 1, 0), (2, 1, 0, 4)],
+        ),
+    ];
+    for (case, &(n, shape, raw)) in cases.iter().enumerate() {
+        let topo = build_topology(n, shape, &[3], &[]);
+        let exits = build_exits(n, raw.len(), raw);
+        for config in [
+            ProtocolConfig::STANDARD,
+            ProtocolConfig::WALTON,
+            ProtocolConfig::MODIFIED,
+        ] {
+            for lp in [false, true] {
+                let want = reference_search(&topo, config, &exits, lp, 200_000);
+                for jobs in [1, 8] {
+                    let options = ExploreOptions::new().loop_prevention(lp).jobs(jobs);
+                    let got = observed(&explore(&topo, config, exits.clone(), options));
+                    assert_eq!(
+                        got, want,
+                        "case {case} ({n} router(s)), {config:?}, lp {lp}, jobs {jobs}"
+                    );
+                }
+            }
+        }
+    }
+}

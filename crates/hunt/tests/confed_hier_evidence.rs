@@ -185,10 +185,25 @@ fn e14_hierarchy_evidence_is_pinned() {
 /// Sweep searches report the same engine counters as flat ones: every
 /// planned state costs one memo lookup per router, split between hits
 /// and misses however the workers' memos fall, and the activation and
-/// best-change counts are a pure function of the expanded states.
-fn check_accounting(label: &str, routers: usize, explore: impl Fn(ExploreOptions) -> Reachability) {
+/// best-change counts are a pure function of the expanded states. Those
+/// two are pinned: they count every branch of every expanded state,
+/// the ones the explorer accounts without building included.
+fn check_accounting(
+    label: &str,
+    routers: usize,
+    (activations, best_changes): (u64, u64),
+    explore: impl Fn(ExploreOptions) -> Reachability,
+) {
     let base = explore(ExploreOptions::new().max_states(500_000).jobs(1));
     assert!(base.complete, "{label}");
+    assert_eq!(
+        base.metrics.activations, activations,
+        "{label}: activations"
+    );
+    assert_eq!(
+        base.metrics.best_changes, best_changes,
+        "{label}: best changes"
+    );
     for jobs in [1, 2, 8] {
         let r = explore(ExploreOptions::new().max_states(500_000).jobs(jobs));
         let m = &r.metrics;
@@ -210,14 +225,20 @@ fn check_accounting(label: &str, routers: usize, explore: impl Fn(ExploreOptions
 #[test]
 fn sweep_searches_account_their_plans_at_every_worker_count() {
     let (topo, exits) = confed_fig1a();
-    for mode in [ConfedMode::SingleBest, ConfedMode::SetAdvertisement] {
-        check_accounting(&format!("E13 {mode}"), 5, |o| {
+    for (mode, work) in [
+        (ConfedMode::SingleBest, (3_380, 874)),
+        (ConfedMode::SetAdvertisement, (3_190, 702)),
+    ] {
+        check_accounting(&format!("E13 {mode}"), 5, work, |o| {
             explore_confed(&topo, mode, exits.clone(), o)
         });
     }
     let (topo, exits) = deep_fig1a();
-    for mode in [HierMode::SingleBest, HierMode::SetAdvertisement] {
-        check_accounting(&format!("E14 {mode}"), 6, |o| {
+    for (mode, work) in [
+        (HierMode::SingleBest, (6_636, 1_416)),
+        (HierMode::SetAdvertisement, (7_812, 1_364)),
+    ] {
+        check_accounting(&format!("E14 {mode}"), 6, work, |o| {
             explore_hier(&topo, mode, exits.clone(), o)
         });
     }

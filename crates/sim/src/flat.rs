@@ -1,8 +1,8 @@
 //! Flat, fixed-width state encoding for the reachability hot path.
 //!
 //! A configuration's [`StateKey`] — per router the possible set, the
-//! best exit and the advertised set — packs into a single `Box<[u32]>`
-//! per state:
+//! best exit and the advertised set — packs into one fixed-width run of
+//! `u32` words per state:
 //!
 //! ```text
 //! [ router 0 | router 1 | ... ]         one fixed-width block per router
@@ -14,12 +14,15 @@
 //! Exit paths are numbered by a per-search [`StateCodec`] (ascending raw
 //! id, so bit order equals the sorted-id order `StateKey` uses), which
 //! also converts back to `StateKey` at the API boundary. Equality of
-//! [`FlatKey`]s is exactly equality of the `StateKey`s they encode (at
+//! the words is exactly equality of the `StateKey`s they encode (at
 //! phase 0, the only phase the explorer generates), so visited-set dedup
-//! and orbit collapsing decide exactly as on `StateKey`s, with one
-//! allocation per state, `memcmp` equality, and a digest that is
-//! computed once and carried with the key. Loop prevention adds
-//! per-path attributes the codec has no slots for; those searches run
+//! and orbit collapsing decide exactly as on `StateKey`s, by `memcmp`.
+//! The explorer never boxes a state: it carries frontier states and
+//! fresh successors as words in packed, recycled chunk and batch
+//! buffers, hashes each successor once, and keeps its visited keys in a
+//! paged word arena. [`FlatKey`] (the words plus their digest) is the
+//! owned form at the API boundary. Loop prevention adds per-path
+//! attributes the codec has no slots for; those searches run
 //! [`crate::lp::LpEngine`] instead.
 //!
 //! [`FlatEngine`] steps these keys directly: key in, successor keys out,
@@ -29,13 +32,18 @@
 //! words; everything else a search asks of a state — stability, each
 //! branch successor, the best vector, the partial-order ample set, the
 //! message counters — is derived from the current and planned blocks by
-//! word and mask arithmetic.
+//! word and mask arithmetic. A router whose planned block equals its
+//! current one is not [`FlatEngine::enabled`]: its singleton branch
+//! leads back to the loaded key, so the explorer builds nothing for it
+//! and only counts the activation ([`FlatEngine::account`], the same
+//! counting [`FlatEngine::successor_into`] does).
 //!
 //! [`SweepPlanner`] is the same engine for the confederation, hierarchy
 //! and loop-prevention rules ([`SweepEngine`]), whose states are
 //! variable-length per-router spans: each router's next span is memoized
 //! on its inputs' spans in the same router memo, and branch successors
-//! are spliced from current and planned spans.
+//! are spliced from current and planned spans. It skips the same
+//! branches the same way.
 //!
 //! The digest is a hand-rolled Fx-style multiply-xor hash (the workspace
 //! deliberately adds no dependencies); it only feeds hash-map bucketing
@@ -273,12 +281,6 @@ impl FlatKey {
     pub fn into_words(self) -> Box<[u32]> {
         self.words
     }
-
-    /// Accounted heap footprint: the struct itself plus the word
-    /// payload.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.words.len() * std::mem::size_of::<u32>()
-    }
 }
 
 impl PartialEq for FlatKey {
@@ -389,6 +391,21 @@ struct Move {
     /// message each), and the paths those messages carry.
     messages: u64,
     paths: u64,
+}
+
+/// Account activating `set` from a loaded key whose per-router moves are
+/// `moves`, as [`SyncEngine::step`] would: per member one activation,
+/// its best change, and its messages and paths. Both planners count
+/// through here, for the branches they build and for the ones their
+/// caller only accounts.
+fn account(metrics: &mut Metrics, moves: &[Move], set: &[RouterId]) {
+    for u in set {
+        let mv = moves[u.index()];
+        metrics.activations += 1;
+        metrics.best_changes += u64::from(mv.best_changed);
+        metrics.messages += mv.messages;
+        metrics.paths_advertised += mv.paths;
+    }
 }
 
 /// The fixed inputs of a flat search: topology, protocol, exit table,
@@ -617,12 +634,22 @@ impl<'a> FlatEngine<'a> {
         for &u in set {
             let span = u.index() * nw..(u.index() + 1) * nw;
             out[span.clone()].copy_from_slice(&self.planned[span]);
-            let mv = self.moves[u.index()];
-            self.metrics.activations += 1;
-            self.metrics.best_changes += u64::from(mv.best_changed);
-            self.metrics.messages += mv.messages;
-            self.metrics.paths_advertised += mv.paths;
         }
+        account(&mut self.metrics, &self.moves, set);
+    }
+
+    /// Account activating `set` exactly as [`FlatEngine::successor_into`]
+    /// does, without building the successor: for a branch the caller
+    /// knows repeats a state it already has.
+    pub fn account(&mut self, set: &[RouterId]) {
+        account(&mut self.metrics, &self.moves, set);
+    }
+
+    /// Whether activating `u` changes its block: its planned block
+    /// differs from the loaded one. The singleton branch of a router
+    /// that is not enabled leads back to the loaded key.
+    pub fn enabled(&self, u: RouterId) -> bool {
+        self.moves[u.index()].enabled
     }
 
     /// The loaded key's best exit per router.
@@ -821,15 +848,26 @@ impl<'e, E: SweepEngine> SweepPlanner<'e, E> {
         for u in 0..self.current_ends.len() {
             if members.next_if_eq(&u).is_some() {
                 out.extend_from_slice(span_at(&self.planned, &self.planned_ends, u));
-                let mv = self.moves[u];
-                self.metrics.activations += 1;
-                self.metrics.best_changes += u64::from(mv.best_changed);
-                self.metrics.messages += mv.messages;
-                self.metrics.paths_advertised += mv.paths;
             } else {
                 out.extend_from_slice(span_at(&self.current, &self.current_ends, u));
             }
         }
+        account(&mut self.metrics, &self.moves, set);
+    }
+
+    /// Account activating `set` exactly as
+    /// [`SweepPlanner::successor_into`] does, without building the
+    /// successor: for a branch the caller knows repeats a state it
+    /// already has.
+    pub fn account(&mut self, set: &[RouterId]) {
+        account(&mut self.metrics, &self.moves, set);
+    }
+
+    /// Whether activating `u` changes its span: its planned span differs
+    /// from the loaded one. The singleton branch of a router that is not
+    /// enabled leads back to the loaded key.
+    pub fn enabled(&self, u: RouterId) -> bool {
+        self.moves[u.index()].enabled
     }
 
     /// The loaded key's best exit per router.
